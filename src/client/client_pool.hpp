@@ -1,35 +1,51 @@
-// The million-client engine: a struct-of-arrays WorkloadClient cohort.
+// The request-generating client of §7.1 — the one client engine, used for
+// every population:
+//
+//   - requests arrive by the workload strategy's arrival process (the
+//     default "poisson" strategy is §7.1's Poisson process of rate lambda);
+//   - at most `window` requests are outstanding (the strategy may vary the
+//     window over time); excess arrivals wait in a backlog queue and become
+//     service denials after 10 s;
+//   - an outstanding request that gets no response within request_timeout
+//     is a denial.
+//
+// Good clients run lambda = 2, window = 1; bad clients lambda = 40,
+// window = 20 (requests sent concurrently) — §7.1. The client is purely
+// reactive to the thinner: kPleasePay consults the strategy and (normally)
+// starts a payment channel (§3.3 mode), kRetry starts an aggressive
+// congestion-controlled retry stream (§3.2 mode), kBusy is an immediate
+// failure (no-defense baseline). Hence the same client code runs under
+// every defense mode, like the paper's single custom client — and every
+// behavioral decision (arrival timing, window, paying, defecting) is
+// delegated to a pluggable client::Strategy from the adversary library
+// (strategy.hpp), so new attacker behaviors need no client edits.
 //
 // One ClientPool runs an entire client group (one WorkloadParams, N
-// members) with the per-member state the object engine scatters across N
-// WorkloadClient allocations laid out in dense parallel arrays indexed by
-// member id: stats, strategy, RNG stream, request-id counter, backlog ring.
+// members); a lone client is a pool of one (client::WorkloadClient). The
+// per-member state — stats, strategy, RNG stream, request-id counter,
+// backlog ring — lives in dense parallel arrays indexed by member id.
 // Outstanding requests live in a pool-wide chunked slab (stable addresses,
-// generation-counted slots) instead of N unordered_maps of unique_ptrs, and
-// all members share one http::SessionPool.
+// generation-counted slots), and all members share one http::SessionPool.
 //
-// Arrival batching is the interesting part. The object engine keeps one
-// pending event-loop entry per client; at 10^5-10^6 clients that is 10^5+
-// live slab records just for arrival timers. The pool keeps ONE armed
-// event per cohort and an indexed min-heap of per-member (when, seq) keys.
-// Bit-exactness with the object engine falls out of the reserve_seq /
-// schedule_keyed split in sim::EventLoop:
+// Arrival batching is the interesting part. One pending event-loop entry
+// per member would mean 10^5+ live slab records just for arrival timers at
+// 10^5 clients. The pool keeps ONE armed event per cohort and an indexed
+// min-heap of per-member (when, seq) keys. The reserve_seq /
+// schedule_keyed split in sim::EventLoop makes the batching invisible:
 //
-//   - wherever a WorkloadClient would call loop.schedule() for an arrival,
-//     the pool calls loop.reserve_seq() — consuming the SAME sequence
-//     number at the same point in execution — and parks (when, seq) in the
-//     cohort heap;
+//   - wherever a member's next arrival is drawn, the pool calls
+//     loop.reserve_seq() — consuming the SAME sequence number a per-member
+//     loop.schedule() would have consumed at that point in execution — and
+//     parks (when, seq) in the cohort heap;
 //   - the cohort's single armed event is filed with schedule_keyed() under
 //     the heap minimum's reserved key, so it occupies exactly the slot in
-//     the (when, seq) total order that the per-client event would have;
+//     the (when, seq) total order that a per-member event would have;
 //   - each fire handles exactly one member's arrival (one executed event,
-//     matching the object engine's count) and re-arms at the new minimum.
+//     as a per-member event would) and re-arms at the new minimum.
 //
-// Every other code path — timers, TCP, streams, payments, deferred
-// retirement — is shared with the object engine verbatim, so the whole
-// simulation replays the identical event sequence and every
-// ExperimentResult fingerprint matches byte for byte (enforced by
-// tests/engine_differential_test.cpp on every checked-in scenario).
+// So one pool of N replays the identical event sequence of N pools of one
+// (tests/client_pool_test.cpp): how many pools a population is split into
+// never changes what the simulation does.
 #pragma once
 
 #include <cstddef>
@@ -37,13 +53,13 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "client/client_stats.hpp"
 #include "client/payment_channel.hpp"
 #include "client/strategy.hpp"
-#include "client/workload_client.hpp"
 #include "http/message.hpp"
 #include "http/message_stream.hpp"
 #include "http/session_pool.hpp"
@@ -55,11 +71,60 @@
 
 namespace speakup::client {
 
+struct WorkloadParams {
+  double lambda = 2.0;
+  int window = 1;
+  http::ClientClass cls = http::ClientClass::kGood;
+  int difficulty = 1;
+  Bytes post_size = megabytes(1);
+  /// Outstanding requests wait a long time (like a browser); the paper's
+  /// 10 s denial rule (§7.1) applies to the *backlog queue* below.
+  Duration request_timeout = Duration::seconds(300);
+  Duration backlog_timeout = Duration::seconds(10);
+  /// §3.2 mode: target number of unacked retry messages kept in flight.
+  int retry_pipeline = 64;
+  std::uint32_t request_port = 80;
+  std::uint32_t payment_port = 81;
+  /// Behavior strategy: a client::StrategyFactory registry key. The default
+  /// "poisson" reproduces the pre-strategy client bit for bit.
+  std::string strategy = "poisson";
+  /// Named per-strategy knobs (scenario files: the `strategy_params` block).
+  std::vector<std::pair<std::string, double>> strategy_knobs;
+};
+
+/// The strategy-construction view of a WorkloadParams: base knobs every
+/// strategy shares, plus the free-form named knobs.
+[[nodiscard]] inline StrategyParams strategy_params(const WorkloadParams& p) {
+  StrategyParams sp;
+  sp.lambda = p.lambda;
+  sp.window = p.window;
+  sp.retry_pipeline = p.retry_pipeline;
+  sp.knobs = p.strategy_knobs;
+  return sp;
+}
+
+/// Paper defaults (§7.1).
+[[nodiscard]] inline WorkloadParams good_client_params() {
+  WorkloadParams p;
+  p.lambda = 2.0;
+  p.window = 1;
+  p.cls = http::ClientClass::kGood;
+  return p;
+}
+
+[[nodiscard]] inline WorkloadParams bad_client_params() {
+  WorkloadParams p;
+  p.lambda = 40.0;
+  p.window = 20;
+  p.cls = http::ClientClass::kBad;
+  return p;
+}
+
 class ClientPool {
  public:
   /// `base_index` is the global client index of member 0; members are
   /// globally indexed base_index, base_index+1, ... (trace track ids and
-  /// request-id namespaces, identical to the object engine's client_index).
+  /// request-id namespaces).
   ClientPool(sim::EventLoop& loop, net::NodeId thinner, const WorkloadParams& params,
              std::uint32_t base_index);
 
@@ -67,16 +132,20 @@ class ClientPool {
   ClientPool& operator=(const ClientPool&) = delete;
   ~ClientPool();
 
-  /// Adds one member. Must mirror the object engine's construction order:
-  /// hosts in global client order, each with its own seeded RNG stream.
+  /// Sizes the per-member arrays for `n` members, so the add_member calls
+  /// that follow never reallocate (and re-copy the ~2.5 KB RNG streams).
+  void reserve(std::size_t n);
+
+  /// Adds one member: callers add hosts in global client order, each with
+  /// its own seeded RNG stream.
   void add_member(transport::Host& host, util::RngStream rng);
 
-  /// Starts every member's arrival process, in member order — the seq
-  /// reservations here line up with the object engine's start() loop.
+  /// Starts every member's arrival process, in member order, so the seq
+  /// reservations follow global client order.
   void start_all();
 
   /// Stops issuing new requests for one member (outstanding ones keep
-  /// running); mirrors WorkloadClient::pause().
+  /// running).
   void pause(std::uint32_t member) { paused_[member] = 1; }
 
   [[nodiscard]] std::size_t size() const { return hosts_.size(); }
@@ -130,8 +199,8 @@ class ClientPool {
 
   enum class Disposition { kServed, kDenied, kBusyRejected };
 
-  /// Growable FIFO ring of backlogged arrival timestamps (the object
-  /// engine's std::deque<SimTime>, minus the deque's chunk allocator).
+  /// Growable FIFO ring of backlogged arrival timestamps (a
+  /// std::deque<SimTime> minus the deque's chunk allocator).
   struct BacklogRing {
     std::vector<SimTime> buf;
     std::size_t head = 0;
@@ -163,7 +232,7 @@ class ClientPool {
     std::byte bytes[sizeof(Request)];
   };
 
-  // --- transliterated WorkloadClient logic (one member at a time) --------
+  // --- client state machine (one member at a time) ----------------------
   [[nodiscard]] StrategyView view(std::uint32_t m) const;
   [[nodiscard]] int current_window(std::uint32_t m);
   void on_arrival(std::uint32_t m);
@@ -194,8 +263,8 @@ class ClientPool {
   [[nodiscard]] Request* find_request(std::uint64_t id, std::uint32_t* out_slot);
 
   // --- cohort arrival heap ------------------------------------------------
-  /// Draws the member's next arrival gap, reserves the seq the object
-  /// engine's schedule() would have consumed, and inserts into the heap.
+  /// Draws the member's next arrival gap, reserves the seq a per-member
+  /// schedule() would have consumed, and inserts into the heap.
   void draw_next_arrival(std::uint32_t m);
   void heap_insert(std::uint32_t m);
   void heap_pop_min();

@@ -1,159 +1,40 @@
-// The request-generating client of §7.1, used for every population:
-//
-//   - requests arrive by the workload strategy's arrival process (the
-//     default "poisson" strategy is §7.1's Poisson process of rate lambda);
-//   - at most `window` requests are outstanding (the strategy may vary the
-//     window over time); excess arrivals wait in a backlog queue and become
-//     service denials after 10 s;
-//   - an outstanding request that gets no response within 10 s is a denial.
-//
-// Good clients run lambda = 2, window = 1; bad clients lambda = 40,
-// window = 20 (requests sent concurrently) — §7.1. The client is purely
-// reactive to the thinner: kPleasePay consults the strategy and (normally)
-// starts a payment channel (§3.3 mode), kRetry starts an aggressive
-// congestion-controlled retry stream (§3.2 mode), kBusy is an immediate
-// failure (no-defense baseline). Hence the same client code runs under
-// every defense mode, like the paper's single custom client — and every
-// behavioral decision (arrival timing, window, paying, defecting) is
-// delegated to a pluggable client::Strategy from the adversary library
-// (strategy.hpp), so new attacker behaviors need no client edits.
+// A single §7.1 client: a client::ClientPool of one member. Tests and rigs
+// that drive one host at a time use this; client_pool.hpp holds the client
+// logic and WorkloadParams.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
-#include "client/client_stats.hpp"
-#include "client/payment_channel.hpp"
-#include "client/strategy.hpp"
-#include "http/message.hpp"
-#include "http/message_stream.hpp"
-#include "http/session_pool.hpp"
-#include "sim/timer.hpp"
-#include "transport/host.hpp"
-#include "util/rng.hpp"
+#include "client/client_pool.hpp"
 
 namespace speakup::client {
-
-struct WorkloadParams {
-  double lambda = 2.0;
-  int window = 1;
-  http::ClientClass cls = http::ClientClass::kGood;
-  int difficulty = 1;
-  Bytes post_size = megabytes(1);
-  /// Outstanding requests wait a long time (like a browser); the paper's
-  /// 10 s denial rule (§7.1) applies to the *backlog queue* below.
-  Duration request_timeout = Duration::seconds(300);
-  Duration backlog_timeout = Duration::seconds(10);
-  /// §3.2 mode: target number of unacked retry messages kept in flight.
-  int retry_pipeline = 64;
-  std::uint32_t request_port = 80;
-  std::uint32_t payment_port = 81;
-  /// Behavior strategy: a client::StrategyFactory registry key. The default
-  /// "poisson" reproduces the pre-strategy client bit for bit.
-  std::string strategy = "poisson";
-  /// Named per-strategy knobs (scenario files: the `strategy_params` block).
-  std::vector<std::pair<std::string, double>> strategy_knobs;
-};
-
-/// The strategy-construction view of a WorkloadParams: base knobs every
-/// strategy shares, plus the free-form named knobs.
-[[nodiscard]] inline StrategyParams strategy_params(const WorkloadParams& p) {
-  StrategyParams sp;
-  sp.lambda = p.lambda;
-  sp.window = p.window;
-  sp.retry_pipeline = p.retry_pipeline;
-  sp.knobs = p.strategy_knobs;
-  return sp;
-}
-
-/// Paper defaults (§7.1).
-[[nodiscard]] inline WorkloadParams good_client_params() {
-  WorkloadParams p;
-  p.lambda = 2.0;
-  p.window = 1;
-  p.cls = http::ClientClass::kGood;
-  return p;
-}
-
-[[nodiscard]] inline WorkloadParams bad_client_params() {
-  WorkloadParams p;
-  p.lambda = 40.0;
-  p.window = 20;
-  p.cls = http::ClientClass::kBad;
-  return p;
-}
 
 class WorkloadClient {
  public:
   /// `client_index` namespaces this client's request ids; `rng` drives its
-  /// Poisson process.
+  /// arrival process.
   WorkloadClient(transport::Host& host, net::NodeId thinner, const WorkloadParams& params,
-                 std::uint32_t client_index, util::RngStream rng);
+                 std::uint32_t client_index, util::RngStream rng)
+      : pool_(host.loop(), thinner, params, client_index) {
+    pool_.add_member(host, std::move(rng));
+  }
 
   WorkloadClient(const WorkloadClient&) = delete;
   WorkloadClient& operator=(const WorkloadClient&) = delete;
-  ~WorkloadClient();
 
   /// Starts the arrival process.
-  void start();
-
+  void start() { pool_.start_all(); }
   /// Stops issuing new requests (outstanding ones keep running).
-  void pause() { paused_ = true; }
+  void pause() { pool_.pause(0); }
 
-  [[nodiscard]] const ClientStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t outstanding() const { return outstanding_.size(); }
-  [[nodiscard]] std::size_t backlog() const { return backlog_.size(); }
-  [[nodiscard]] const Strategy& strategy() const { return *strategy_; }
+  [[nodiscard]] const ClientStats& stats() const { return pool_.stats(0); }
+  [[nodiscard]] std::size_t outstanding() const { return pool_.outstanding(0); }
+  [[nodiscard]] std::size_t backlog() const { return pool_.backlog(0); }
 
  private:
-  struct PendingRequest {
-    std::uint64_t id = 0;
-    SimTime sent;
-    http::MessageStream* stream = nullptr;
-    std::unique_ptr<PaymentChannelClient> payment;
-    std::unique_ptr<sim::Timer> timer;
-    std::unique_ptr<sim::Timer> defect_timer;  // strategy payment_patience
-    bool paying = false;
-    SimTime pay_started;
-    bool retry_pumping = false;
-    std::int64_t retries_sent = 0;
-  };
-
-  enum class Disposition { kServed, kDenied, kBusyRejected };
-
-  [[nodiscard]] StrategyView view() const;
-  [[nodiscard]] int current_window();
-  void on_arrival();
-  void start_request();
-  void on_message(PendingRequest& pr, const http::Message& m);
-  void abandon_payment(std::uint64_t id);
-  void pump_retries(PendingRequest& pr);
-  void finish(std::uint64_t id, Disposition d);
-  /// The client_index this client was constructed with (trace track id).
-  [[nodiscard]] std::uint32_t index() const {
-    return static_cast<std::uint32_t>((id_base_ >> 32) - 1);
-  }
-  void purge_backlog();
-  void drain_backlog();
-
-  transport::Host* host_;
-  net::NodeId thinner_;
-  WorkloadParams params_;
-  std::uint64_t id_base_;
-  std::uint32_t next_seq_ = 0;
-  util::RngStream rng_;
-  std::unique_ptr<Strategy> strategy_;
-  http::SessionPool pool_;
-  ClientStats stats_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<PendingRequest>> outstanding_;
-  std::deque<SimTime> backlog_;  // arrival timestamps of queued requests
-  sim::EventId arrival_event_;
-  bool paused_ = false;
+  ClientPool pool_;
 };
 
 }  // namespace speakup::client

@@ -69,11 +69,11 @@ struct ClientGroupSpec {
   /// proxy (which pays the thinner on their behalf). Requires
   /// ScenarioConfig::proxy.
   bool via_proxy = false;
-  /// Client engine: "object" (one WorkloadClient per member) or "pooled"
-  /// (the struct-of-arrays client::ClientPool). Behavior-equivalent by
-  /// construction — pooled runs replay the object engine's event sequence
-  /// bit for bit — so this is purely a memory/speed knob for huge groups.
-  std::string engine = "object";
+  /// Retired knob: every group runs on one client::ClientPool. Scenario
+  /// files may still say "object" or "pooled"; the parser validates and
+  /// ignores the value. Kept, always "pooled", because
+  /// perfbench/e2e_bench.cpp still branches on it.
+  std::string engine = "pooled";
 };
 
 /// §9: a high-bandwidth payment proxy fronting low-bandwidth customers.

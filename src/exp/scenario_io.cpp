@@ -282,9 +282,11 @@ ClientGroupSpec group_from_json(const json::Value& v, const std::string& ctx) {
     } else if (key == "via_proxy") {
       g.via_proxy = bool_of(val, kctx);
     } else if (key == "engine") {
-      g.engine = str_of(val, kctx);
-      if (g.engine != "object" && g.engine != "pooled") {
-        fail(kctx, "engine must be \"object\" or \"pooled\", got \"" + g.engine + "\"");
+      // Retired: one client engine runs every group. Both old values are
+      // accepted and ignored; anything else is still a typo.
+      const std::string& engine = str_of(val, kctx);
+      if (engine != "object" && engine != "pooled") {
+        fail(kctx, "engine must be \"object\" or \"pooled\", got \"" + engine + "\"");
       }
     } else {
       fail(ctx, "unknown key \"" + key + "\"");

@@ -112,7 +112,7 @@ class EventLoop {
   /// (client::ClientPool batches one arrival deadline per cohort) — takes a
   /// seq now and later files it with schedule_keyed. Seq consumption is
   /// therefore identical to the unbatched code, which is what keeps batched
-  /// runs bit-identical to per-object runs.
+  /// runs bit-identical to one-event-per-client runs.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Schedules `fn` at an absolute time under a previously reserved seq

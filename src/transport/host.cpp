@@ -38,7 +38,7 @@ std::uint32_t Host::acquire_slot() {
     // Reserve the whole chunk's metadata now: the slot high-water mark can
     // rise mid-run (a deferred release overlapping an immediate reconnect),
     // and that moment must not touch the allocator — only chunk boundaries
-    // may (the pooled engine's steady state stays allocation-free).
+    // may (the client engine's steady state stays allocation-free).
     states_.reserve(chunks_.size() * kChunk);
     release_ev_.reserve(chunks_.size() * kChunk);
     free_.reserve(chunks_.size() * kChunk);

@@ -1,7 +1,7 @@
 // Allocation accounting for zero-allocation guarantees.
 //
 // The hot-path tests (event loop churn, the Link packet pipeline, TCP loss
-// recovery, the pooled client engine) all assert that a measured region
+// recovery, the client engine) all assert that a measured region
 // performs ZERO heap allocations. Each of them used to carry its own copy
 // of a counting global operator new; this header is the shared version.
 //

@@ -1,8 +1,8 @@
-// Unit tests for the struct-of-arrays client engine (client::ClientPool):
-// member-for-member equivalence with WorkloadClient, dense request-slot
-// reuse and generation safety in the pool-wide request slab, pause
-// semantics, and the zero-steady-state-allocation guarantee at 10^5
-// clients.
+// Unit tests for the client engine (client::ClientPool): one pool of N
+// matches N pools of one member for member (the cohort-heap arrival
+// batching is invisible), dense request-slot reuse and generation safety in
+// the pool-wide request slab, pause semantics, and the
+// zero-steady-state-allocation guarantee at 10^5 clients.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,9 +44,11 @@ struct Rig {
   transport::Host* thinner_host = nullptr;
 };
 
-// The pooled engine must match the object engine member for member, not
-// just in aggregate: identical rigs, one per engine, same seeds.
-TEST(ClientPool, MatchesObjectEngineMemberForMember) {
+// Batching N members' arrivals into one cohort event must not change what
+// any member does: N WorkloadClients (pools of one, one armed event each)
+// and one pool of N on identical rigs with the same seeds match member for
+// member, not just in aggregate.
+TEST(ClientPool, PoolOfNMatchesNPoolsOfOneMemberForMember) {
   constexpr int kClients = 3;
   core::AuctionThinner::Config tc;
   tc.capacity_rps = 20.0;
@@ -143,7 +145,7 @@ TEST(ClientPool, PauseStopsNewArrivals) {
   EXPECT_LE(pool.stats(0).arrivals, arrivals_at_pause + 1);
 }
 
-// The million-client contract: once warm, the pooled engine's request
+// The million-client contract: once warm, the client engine's request
 // cycle — arrival, slot acquire, connect, RST denial, stream retirement,
 // slot release, next arrival draw — touches the allocator zero times, at
 // 10^5 clients. (The RST-denial rig keeps the cycle client-side: the

@@ -288,6 +288,26 @@ TEST(ScenarioIoErrors, ValueErrorsNameTheKey) {
       "evil");
 }
 
+// The retired "engine" group key: both old values parse and change nothing
+// (one client engine runs every group); any other value is still an error.
+TEST(ScenarioIo, EngineKeyIsAValidatedNoOp) {
+  const auto file_with = [](const std::string& engine_entry) {
+    return R"({"scenarios": [{"capacity_rps": 20, "duration_s": 1, "groups": [
+               {"label": "g", "count": 2)" +
+           engine_entry + R"(}]}]})";
+  };
+  const ScenarioFile absent = parse_scenario_file(file_with(""));
+  const ScenarioFile object = parse_scenario_file(file_with(R"(, "engine": "object")"));
+  const ScenarioFile pooled = parse_scenario_file(file_with(R"(, "engine": "pooled")"));
+  const std::uint64_t fp = exp::run_scenario(absent.scenarios[0].config).fingerprint();
+  for (const ScenarioFile* f : {&absent, &object, &pooled}) {
+    EXPECT_EQ(f->scenarios[0].config.groups[0].engine, "pooled");
+    EXPECT_EQ(exp::run_scenario(f->scenarios[0].config).fingerprint(), fp);
+  }
+  expect_parse_error(file_with(R"(, "engine": "fast")"), "engine");
+  expect_parse_error(file_with(R"(, "engine": 1)"), "engine");
+}
+
 TEST(ScenarioIoErrors, StructuralMistakesAreCaught) {
   expect_parse_error(R"({"scenarios": []})", "at least one");
   expect_parse_error(R"({"scenarios": [{"lan": {"good": 1}, "groups": []}]})",
