@@ -26,7 +26,7 @@ int main() {
       "per request (§3.2) and bytes per request (§3.3)");
 
   const double kCapacities[] = {50.0, 100.0, 200.0};
-  const exp::DefenseMode kModes[] = {exp::DefenseMode::kRetry, exp::DefenseMode::kAuction};
+  const std::string kDefenses[] = {"retry", "auction"};
 
   exp::ScenarioFile file = bench::load_scenarios("abl1.json");
   bench::apply_full_duration(file);
@@ -37,10 +37,10 @@ int main() {
   stats::Table table({"capacity", "mechanism", "alloc(good)", "price-good", "price-bad",
                       "price-unit"});
   for (const double c : kCapacities) {
-    for (const exp::DefenseMode mode : kModes) {
+    for (const std::string& defense : kDefenses) {
       const exp::ExperimentResult& r =
-          runner.result(std::string(to_string(mode)) + "/c" + std::to_string(int(c)));
-      const bool retry = mode == exp::DefenseMode::kRetry;
+          runner.result(defense + "/c" + std::to_string(int(c)));
+      const bool retry = defense == "retry";
       table.row()
           .add(static_cast<std::int64_t>(c))
           .add(retry ? "retries (3.2)" : "auction (3.3)")

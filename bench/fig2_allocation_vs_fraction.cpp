@@ -29,7 +29,7 @@ int main() {
   std::vector<int> goods;
   int total_clients = 0;
   for (const exp::LabeledScenario& s : file.scenarios) {
-    if (s.config.defense_name() != "none") continue;
+    if (s.config.defense != "none") continue;
     total_clients = 0;
     for (const exp::ClientGroupSpec& g : s.config.groups) {
       total_clients += g.count;

@@ -32,7 +32,7 @@ int main() {
   // so editing the JSON grid never leaves this report stale.
   std::vector<int> capacities;
   for (const exp::LabeledScenario& s : file.scenarios) {
-    if (s.config.defense_name() == "none") {
+    if (s.config.defense == "none") {
       capacities.push_back(static_cast<int>(s.config.capacity_rps));
     }
   }

@@ -21,7 +21,7 @@ int main() {
   const int kCustomers = 40;
   const double kCapacity = 160.0;  // 2x the legitimate demand of 80 req/s
   const int kBotnets[] = {10, 40, 120};
-  const exp::DefenseMode kModes[] = {exp::DefenseMode::kNone, exp::DefenseMode::kAuction};
+  const std::string kDefenses[] = {"none", "auction"};
 
   std::printf("travel-search site: %d customers, server capacity %.0f req/s\n",
               kCustomers, kCapacity);
@@ -30,11 +30,11 @@ int main() {
 
   exp::Runner runner;
   for (const int bots : kBotnets) {
-    for (const exp::DefenseMode mode : kModes) {
+    for (const std::string& defense : kDefenses) {
       exp::ScenarioConfig cfg =
-          exp::lan_scenario(kCustomers, bots, kCapacity, mode, /*seed=*/5);
+          exp::lan_scenario(kCustomers, bots, kCapacity, defense, /*seed=*/5);
       cfg.duration = Duration::seconds(60.0);
-      runner.add(cfg, std::string(to_string(mode)) + "/bots" + std::to_string(bots));
+      runner.add(cfg, defense + "/bots" + std::to_string(bots));
     }
   }
   runner.run_all();
@@ -42,11 +42,11 @@ int main() {
   std::printf("%-12s %-10s %-22s %-22s\n", "botnet", "defense", "customers served",
               "customer experience");
   for (const int bots : kBotnets) {
-    for (const exp::DefenseMode mode : kModes) {
+    for (const std::string& defense : kDefenses) {
       const exp::ExperimentResult& r =
-          runner.result(std::string(to_string(mode)) + "/bots" + std::to_string(bots));
+          runner.result(defense + "/bots" + std::to_string(bots));
       const double f = r.fraction_good_served;
-      std::printf("%-12d %-10s %-22.2f %-22s\n", bots, exp::to_string(mode), f,
+      std::printf("%-12d %-10s %-22.2f %-22s\n", bots, defense.c_str(), f,
                   f > 0.95   ? "unharmed"
                   : f > 0.5  ? "degraded"
                   : f > 0.1  ? "mostly denied"

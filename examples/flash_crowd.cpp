@@ -16,24 +16,23 @@ int main() {
   std::printf("flash crowd: 40 good clients (Poisson 2 req/s each) hit a server\n"
               "with capacity 40 req/s — overload with no attacker in sight.\n\n");
 
-  const exp::DefenseMode kModes[] = {exp::DefenseMode::kNone, exp::DefenseMode::kAuction};
+  const std::string kDefenses[] = {"none", "auction"};
   exp::Runner runner;
-  for (const exp::DefenseMode mode : kModes) {
+  for (const std::string& defense : kDefenses) {
     exp::ScenarioConfig cfg = exp::lan_scenario(/*good=*/40, /*bad=*/0,
-                                                /*capacity=*/40.0, mode, /*seed=*/13);
+                                                /*capacity=*/40.0, defense, /*seed=*/13);
     cfg.duration = Duration::seconds(60.0);
-    runner.add(cfg, to_string(mode));
+    runner.add(cfg, defense);
   }
   runner.run_all();
 
-  for (const exp::DefenseMode mode : kModes) {
-    const exp::ExperimentResult& r = runner.result(to_string(mode));
-    std::printf("%s:\n", mode == exp::DefenseMode::kNone ? "without speak-up"
-                                                         : "with speak-up");
+  for (const std::string& defense : kDefenses) {
+    const exp::ExperimentResult& r = runner.result(defense);
+    std::printf("%s:\n", defense == "none" ? "without speak-up" : "with speak-up");
     std::printf("  fraction of requests served: %.2f\n", r.fraction_good_served);
     std::printf("  mean response time of served requests: %.2f s\n",
                 r.groups[0].totals.response_time.mean());
-    if (mode == exp::DefenseMode::kAuction) {
+    if (defense == "auction") {
       std::printf("  mean price paid: %.0f KB (bandwidth spent bidding)\n",
                   r.thinner.price_good.mean() / 1000.0);
       std::printf("  mean time spent uploading dummy bytes: %.2f s\n",

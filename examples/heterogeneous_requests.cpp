@@ -16,30 +16,28 @@ int main() {
   std::printf("database front-end: 10 good clients (easy queries) vs 10 attackers\n"
               "sending only 10x-hard queries, all with equal bandwidth.\n\n");
 
-  const exp::DefenseMode kModes[] = {exp::DefenseMode::kAuction,
-                                     exp::DefenseMode::kQuantumAuction};
+  const std::string kDefenses[] = {"auction", "quantum"};
   exp::Runner runner;
-  for (const exp::DefenseMode mode : kModes) {
-    exp::ScenarioConfig cfg = exp::lan_scenario(10, 10, 20.0, mode, /*seed=*/6);
+  for (const std::string& defense : kDefenses) {
+    exp::ScenarioConfig cfg = exp::lan_scenario(10, 10, 20.0, defense, /*seed=*/6);
     cfg.duration = Duration::seconds(60.0);
     cfg.groups[1].workload.difficulty = 10;  // attackers send hard queries
     cfg.groups[1].workload.window = 1;       // and concentrate their bandwidth
     cfg.groups[1].workload.lambda = 10.0;
-    runner.add(cfg, to_string(mode));
+    runner.add(cfg, defense);
   }
   runner.run_all();
 
-  for (const exp::DefenseMode mode : kModes) {
-    const exp::ExperimentResult& r = runner.result(to_string(mode));
-    std::printf("%s thinner:\n", mode == exp::DefenseMode::kAuction
-                                     ? "flat-auction (§3.3)"
-                                     : "quantum-auction (§5) ");
+  for (const std::string& defense : kDefenses) {
+    const exp::ExperimentResult& r = runner.result(defense);
+    std::printf("%s thinner:\n", defense == "auction" ? "flat-auction (§3.3)"
+                                                     : "quantum-auction (§5) ");
     std::printf("  server time to good clients: %4.0f%%   to attackers: %4.0f%%\n",
                 r.server_time_good * 100, r.server_time_bad * 100);
     std::printf("  good requests served: %lld   denied: %lld\n",
                 static_cast<long long>(r.groups[0].totals.served),
                 static_cast<long long>(r.groups[0].totals.denied));
-    if (mode == exp::DefenseMode::kQuantumAuction) {
+    if (defense == "quantum") {
       std::printf("  quantum mechanics: %lld suspensions, %lld aborts\n",
                   static_cast<long long>(r.thinner.counters.get("suspensions")),
                   static_cast<long long>(r.thinner.counters.get("aborts")));

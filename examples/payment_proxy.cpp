@@ -15,7 +15,7 @@ namespace {
 speakup::exp::ScenarioConfig scenario(bool with_proxy) {
   using namespace speakup;
   exp::ScenarioConfig cfg;
-  cfg.mode = exp::DefenseMode::kAuction;
+  cfg.defense = "auction";
   cfg.capacity_rps = 40.0;
   cfg.seed = 12;
   cfg.duration = Duration::seconds(60.0);

@@ -1,14 +1,6 @@
 #include "core/auction_thinner.hpp"
 
-#include "obs/observer.hpp"
 #include "util/log.hpp"
-
-namespace {
-// obs::Cls mirrors http::ClientClass value for value.
-speakup::obs::Cls obs_cls(speakup::http::ClientClass c) {
-  return static_cast<speakup::obs::Cls>(c);
-}
-}  // namespace
 
 namespace speakup::core {
 
@@ -17,7 +9,7 @@ using http::Message;
 using http::MessageStream;
 using http::MessageType;
 
-AuctionThinner::AuctionThinner(transport::Host& host, const Config& cfg,
+AuctionThinner::AuctionThinner(transport::Host& host, const FrontEndConfig& cfg,
                                util::RngStream server_rng)
     : host_(&host),
       cfg_(cfg),
@@ -162,16 +154,13 @@ void AuctionThinner::admit(RequestState& st) {
   const double price = static_cast<double>(st.paid);
   const double pay_time =
       st.started_paying ? (host_->loop().now() - st.first_payment).sec() : 0.0;
+  stats_.count_served(st.cls);
   if (st.cls == ClientClass::kGood) {
-    ++stats_.served_good;
     stats_.price_good.add(price);
     stats_.payment_time_good.add(pay_time);
   } else if (st.cls == ClientClass::kBad) {
-    ++stats_.served_bad;
     stats_.price_bad.add(price);
     stats_.payment_time_bad.add(pay_time);
-  } else {
-    ++stats_.served_other;
   }
   if (!st.started_paying) ++stats_.direct_admissions;
   if (auto* o = host_->loop().observer()) {

@@ -38,21 +38,9 @@ namespace speakup::core {
 
 class AuctionThinner : public FrontEnd {
  public:
-  struct Config {
-    double capacity_rps = 100.0;
-    Bytes response_body = 1000;  // served-response size
-    /// §7.3: a payment channel whose *request never arrives* is timed out
-    /// after this long and its bytes are wasted. Contenders whose request is
-    /// present keep paying until they win or their client walks away.
-    Duration payment_window = Duration::seconds(10);
-    std::uint32_t request_port = 80;
-    std::uint32_t payment_port = 81;
-  };
-
-  AuctionThinner(transport::Host& host, const Config& cfg, util::RngStream server_rng);
+  AuctionThinner(transport::Host& host, const FrontEndConfig& cfg, util::RngStream server_rng);
 
   // --- FrontEnd ---
-  [[nodiscard]] std::string_view name() const override { return "auction"; }
   [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
   /// Contenders currently being tracked (paying or waiting).
   [[nodiscard]] std::size_t contending() const override { return states_.size(); }
@@ -99,7 +87,7 @@ class AuctionThinner : public FrontEnd {
   void destroy_state(std::uint64_t id, bool abort_sessions);
 
   transport::Host* host_;
-  Config cfg_;
+  FrontEndConfig cfg_;
   server::EmulatedServer server_;
   http::SessionPool pool_;
   ThinnerStats stats_;

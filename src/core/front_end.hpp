@@ -12,9 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "core/thinner_stats.hpp"
+#include "http/message.hpp"
+#include "obs/observer.hpp"
 #include "util/units.hpp"
 
 namespace speakup::core {
@@ -23,15 +24,18 @@ namespace speakup::core {
 /// defense reads the fields it understands and ignores the rest. Mirrors
 /// the thinner section of exp::ScenarioConfig.
 struct FrontEndConfig {
-  double capacity_rps = 100.0;
-  Bytes response_body = 1000;
+  double capacity_rps = 100.0;  // in difficulty-1 requests/s
+  Bytes response_body = 1000;   // served-response size
+  /// §7.3: a payment channel whose *request never arrives* is timed out
+  /// after this long and its bytes are wasted. Contenders whose request is
+  /// present keep paying until they win or their client walks away.
   Duration payment_window = Duration::seconds(10);
   Duration quantum = Duration::zero();  // 0 -> 1/c (quantum auction only)
-  Duration suspension_limit = Duration::seconds(30);
+  Duration suspension_limit = Duration::seconds(30);  // §5 step 4
   // "elastic" (Bohatei-style scale-up): capacity may grow to
   // elastic_max_scale x the base rate, doubling after each monitoring
   // interval whose busy fraction reaches elastic_threshold. A max scale of
-  // 1.0 arms no monitor at all (event-identical to "none").
+  // 1.0 arms no monitor at all: that is how the factory builds "none".
   double elastic_max_scale = 4.0;
   Duration elastic_interval = Duration::seconds(5);
   double elastic_threshold = 0.9;
@@ -42,6 +46,12 @@ struct FrontEndConfig {
   std::uint32_t payment_port = 81;
 };
 
+/// The observer's class tag for a client class (obs::Cls mirrors
+/// http::ClientClass value for value).
+[[nodiscard]] inline obs::Cls obs_cls(http::ClientClass c) {
+  return static_cast<obs::Cls>(c);
+}
+
 class FrontEnd {
  public:
   FrontEnd() = default;
@@ -49,9 +59,6 @@ class FrontEnd {
 
   FrontEnd(const FrontEnd&) = delete;
   FrontEnd& operator=(const FrontEnd&) = delete;
-
-  /// Registry name of this defense ("auction", "retry", ...).
-  [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// The statistics every defense variant exposes.
   [[nodiscard]] virtual const ThinnerStats& stats() const = 0;

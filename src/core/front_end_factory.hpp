@@ -1,8 +1,8 @@
 // Name-keyed registry of defense front ends.
 //
-// Every defense registers a builder under its canonical name (the same name
-// exp::to_string(DefenseMode) produces for the built-ins); the experiment
-// harness constructs whatever the scenario asks for by name. Adding a new
+// Every defense registers a builder under its canonical name — the one name
+// scenarios, results and the CLI use for it; the experiment harness
+// constructs whatever the scenario asks for by name. Adding a new
 // defense therefore touches no harness code: register it — statically via
 // SPEAKUP_REGISTER_FRONT_END or imperatively from a test — and every
 // scenario, bench, and sweep can run it.

@@ -1,29 +1,47 @@
 #include "core/no_defense.hpp"
 
-#include "obs/observer.hpp"
+#include <algorithm>
 
-namespace {
-// obs::Cls mirrors http::ClientClass value for value.
-speakup::obs::Cls obs_cls(speakup::http::ClientClass c) {
-  return static_cast<speakup::obs::Cls>(c);
-}
-}  // namespace
+#include "util/assert.hpp"
 
 namespace speakup::core {
 
-using http::ClientClass;
 using http::Message;
 using http::MessageStream;
 using http::MessageType;
 
-NoDefenseFrontEnd::NoDefenseFrontEnd(transport::Host& host, const Config& cfg,
+NoDefenseFrontEnd::NoDefenseFrontEnd(transport::Host& host, const FrontEndConfig& cfg,
                                      util::RngStream server_rng)
     : host_(&host),
       cfg_(cfg),
       server_(host.loop(), cfg.capacity_rps, std::move(server_rng)),
       pool_(host.loop()) {
+  util::require(cfg_.elastic_max_scale >= 1.0, "elastic max_scale must be >= 1");
+  util::require(cfg_.elastic_interval > Duration::zero(), "elastic interval must be positive");
+  util::require(cfg_.elastic_threshold > 0.0 && cfg_.elastic_threshold <= 1.0,
+                "elastic threshold must be in (0, 1]");
   server_.set_on_complete([this](const server::ServiceRequest& r) { on_server_complete(r); });
   host.listen(cfg_.request_port, [this](transport::TcpConnection& c) { on_accept(c); });
+}
+
+void NoDefenseFrontEnd::on_run_start() {
+  // max_scale 1.0 means the monitor can never act; arming it anyway would
+  // add events and break the "none" baseline.
+  if (cfg_.elastic_max_scale <= 1.0) return;
+  host_->loop().schedule(cfg_.elastic_interval, [this] { on_monitor_tick(); });
+}
+
+void NoDefenseFrontEnd::on_monitor_tick() {
+  const double busy_fraction =
+      (server_.busy_time() - busy_at_tick_).sec() / cfg_.elastic_interval.sec();
+  busy_at_tick_ = server_.busy_time();
+  if (busy_fraction >= cfg_.elastic_threshold && scale_ < cfg_.elastic_max_scale) {
+    scale_ = std::min(scale_ * 2.0, cfg_.elastic_max_scale);
+    server_.set_capacity_rps(cfg_.capacity_rps * scale_);
+    stats_.counters.inc("elastic_scale_ups");
+    if (auto* o = host_->loop().observer()) o->on_elastic_scale(scale_);
+  }
+  host_->loop().schedule(cfg_.elastic_interval, [this] { on_monitor_tick(); });
 }
 
 void NoDefenseFrontEnd::on_accept(transport::TcpConnection& conn) {
@@ -46,14 +64,8 @@ void NoDefenseFrontEnd::on_message(MessageStream& s, const Message& m) {
   if (auto* o = host_->loop().observer()) {
     o->on_admission(obs_cls(m.cls), 0.0, /*direct=*/true);
   }
-  if (m.cls == ClientClass::kGood) {
-    ++stats_.served_good;
-  } else if (m.cls == ClientClass::kBad) {
-    ++stats_.served_bad;
-  } else {
-    ++stats_.served_other;
-  }
-  serving_[m.request_id] = Pending{m.request_id, m.cls, &s};
+  stats_.count_served(m.cls);
+  serving_[m.request_id] = &s;
   by_stream_[&s] = m.request_id;
   server_.submit(server::ServiceRequest{m.request_id, m.cls, m.difficulty});
 }
@@ -61,11 +73,11 @@ void NoDefenseFrontEnd::on_message(MessageStream& s, const Message& m) {
 void NoDefenseFrontEnd::on_server_complete(const server::ServiceRequest& done) {
   const auto it = serving_.find(done.request_id);
   if (it != serving_.end()) {
-    if (it->second.session != nullptr) {
-      it->second.session->send(Message{.type = MessageType::kResponse,
-                                       .request_id = done.request_id,
-                                       .body = cfg_.response_body});
-      by_stream_.erase(it->second.session);
+    if (it->second != nullptr) {
+      it->second->send(Message{.type = MessageType::kResponse,
+                               .request_id = done.request_id,
+                               .body = cfg_.response_body});
+      by_stream_.erase(it->second);
     }
     serving_.erase(it);
   }
@@ -75,7 +87,7 @@ void NoDefenseFrontEnd::on_reset(MessageStream& s) {
   const auto it = by_stream_.find(&s);
   if (it != by_stream_.end()) {
     const auto sit = serving_.find(it->second);
-    if (sit != serving_.end()) sit->second.session = nullptr;
+    if (sit != serving_.end()) sit->second = nullptr;
     by_stream_.erase(it);
   }
   pool_.retire(&s);

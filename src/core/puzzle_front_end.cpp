@@ -2,15 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/observer.hpp"
 #include "util/assert.hpp"
-
-namespace {
-// obs::Cls mirrors http::ClientClass value for value.
-speakup::obs::Cls obs_cls(speakup::http::ClientClass c) {
-  return static_cast<speakup::obs::Cls>(c);
-}
-}  // namespace
 
 namespace speakup::core {
 
@@ -19,7 +11,7 @@ using http::Message;
 using http::MessageStream;
 using http::MessageType;
 
-PuzzleFrontEnd::PuzzleFrontEnd(transport::Host& host, const Config& cfg,
+PuzzleFrontEnd::PuzzleFrontEnd(transport::Host& host, const FrontEndConfig& cfg,
                                util::RngStream server_rng)
     : host_(&host),
       cfg_(cfg),
@@ -38,16 +30,6 @@ void PuzzleFrontEnd::on_accept(transport::TcpConnection& conn) {
   s.set_callbacks(std::move(cbs));
 }
 
-void PuzzleFrontEnd::count_served(ClientClass cls) {
-  if (cls == ClientClass::kGood) {
-    ++stats_.served_good;
-  } else if (cls == ClientClass::kBad) {
-    ++stats_.served_bad;
-  } else {
-    ++stats_.served_other;
-  }
-}
-
 void PuzzleFrontEnd::on_message(MessageStream& s, const Message& m) {
   if (m.type != MessageType::kRequest) return;
   ++stats_.requests_received;
@@ -59,7 +41,7 @@ void PuzzleFrontEnd::on_message(MessageStream& s, const Message& m) {
     if (auto* o = host_->loop().observer()) {
       o->on_admission(obs_cls(m.cls), 0.0, /*direct=*/true);
     }
-    count_served(m.cls);
+    stats_.count_served(m.cls);
     requests_[m.request_id] =
         Tracked{m.request_id, m.cls, m.difficulty, &s, State::kServing, now, now};
     by_stream_[&s] = m.request_id;
@@ -100,7 +82,7 @@ void PuzzleFrontEnd::admit_next() {
   Tracked& t = requests_.at(id);
   t.state = State::kServing;
   stats_.counters.inc("puzzle_admitted");
-  count_served(t.cls);
+  stats_.count_served(t.cls);
   // The "payment" here is compute: record the request's wait from arrival
   // to admission in the payment-time samples the other currencies use.
   const double waited = (host_->loop().now() - t.arrived).sec();

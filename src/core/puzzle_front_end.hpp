@@ -37,18 +37,9 @@ namespace speakup::core {
 
 class PuzzleFrontEnd : public FrontEnd {
  public:
-  struct Config {
-    double capacity_rps = 100.0;
-    Bytes response_body = 1000;
-    /// Client compute per unit of request difficulty.
-    Duration puzzle_cost = Duration::seconds(2);
-    std::uint32_t request_port = 80;
-  };
-
-  PuzzleFrontEnd(transport::Host& host, const Config& cfg, util::RngStream server_rng);
+  PuzzleFrontEnd(transport::Host& host, const FrontEndConfig& cfg, util::RngStream server_rng);
 
   // --- FrontEnd ---
-  [[nodiscard]] std::string_view name() const override { return "puzzle"; }
   [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
   [[nodiscard]] std::size_t contending() const override { return requests_.size(); }
   [[nodiscard]] Duration server_busy_good() const override {
@@ -82,10 +73,9 @@ class PuzzleFrontEnd : public FrontEnd {
   void on_server_complete(const server::ServiceRequest& done);
   void on_solved(std::uint64_t id);
   void admit_next();
-  void count_served(http::ClientClass cls);
 
   transport::Host* host_;
-  Config cfg_;
+  FrontEndConfig cfg_;
   server::EmulatedServer server_;
   http::SessionPool pool_;
   ThinnerStats stats_;

@@ -1,13 +1,5 @@
 #include "core/quantum_thinner.hpp"
 
-#include "obs/observer.hpp"
-
-namespace {
-// obs::Cls mirrors http::ClientClass value for value.
-speakup::obs::Cls obs_cls(speakup::http::ClientClass c) {
-  return static_cast<speakup::obs::Cls>(c);
-}
-}  // namespace
 
 namespace speakup::core {
 
@@ -16,7 +8,7 @@ using http::Message;
 using http::MessageStream;
 using http::MessageType;
 
-QuantumAuctionThinner::QuantumAuctionThinner(transport::Host& host, const Config& cfg,
+QuantumAuctionThinner::QuantumAuctionThinner(transport::Host& host, const FrontEndConfig& cfg,
                                              util::RngStream server_rng)
     : host_(&host),
       cfg_(cfg),
@@ -234,14 +226,11 @@ void QuantumAuctionThinner::on_server_complete(const server::ServiceRequest& don
     }
     const double pay_time =
         st.started_paying ? (host_->loop().now() - st.first_payment).sec() : 0.0;
+    stats_.count_served(st.cls);
     if (st.cls == ClientClass::kGood) {
-      ++stats_.served_good;
       stats_.payment_time_good.add(pay_time);
     } else if (st.cls == ClientClass::kBad) {
-      ++stats_.served_bad;
       stats_.payment_time_bad.add(pay_time);
-    } else {
-      ++stats_.served_other;
     }
     destroy_state(done.request_id, /*abort_sessions=*/false);
   }

@@ -36,20 +36,10 @@ namespace speakup::core {
 
 class QuantumAuctionThinner : public FrontEnd {
  public:
-  struct Config {
-    double capacity_rps = 100.0;  // capacity in difficulty-1 requests/s
-    Bytes response_body = 1000;
-    Duration payment_window = Duration::seconds(10);   // missing-request eviction
-    Duration quantum = Duration::zero();               // 0 -> default 1/c
-    Duration suspension_limit = Duration::seconds(30); // §5 step 4
-    std::uint32_t request_port = 80;
-    std::uint32_t payment_port = 81;
-  };
-
-  QuantumAuctionThinner(transport::Host& host, const Config& cfg, util::RngStream server_rng);
+  QuantumAuctionThinner(transport::Host& host, const FrontEndConfig& cfg,
+                        util::RngStream server_rng);
 
   // --- FrontEnd ---
-  [[nodiscard]] std::string_view name() const override { return "quantum"; }
   [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
   [[nodiscard]] std::size_t contending() const override { return states_.size(); }
   [[nodiscard]] Duration server_busy_good() const override {
@@ -107,7 +97,7 @@ class QuantumAuctionThinner : public FrontEnd {
   RequestState* top_contender();
 
   transport::Host* host_;
-  Config cfg_;
+  FrontEndConfig cfg_;
   Duration quantum_;
   server::InterruptibleServer server_;
   http::SessionPool pool_;

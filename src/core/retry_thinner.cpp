@@ -1,13 +1,5 @@
 #include "core/retry_thinner.hpp"
 
-#include "obs/observer.hpp"
-
-namespace {
-// obs::Cls mirrors http::ClientClass value for value.
-speakup::obs::Cls obs_cls(speakup::http::ClientClass c) {
-  return static_cast<speakup::obs::Cls>(c);
-}
-}  // namespace
 
 namespace speakup::core {
 
@@ -16,7 +8,8 @@ using http::Message;
 using http::MessageStream;
 using http::MessageType;
 
-RetryThinner::RetryThinner(transport::Host& host, const Config& cfg, util::RngStream server_rng)
+RetryThinner::RetryThinner(transport::Host& host, const FrontEndConfig& cfg,
+                           util::RngStream server_rng)
     : host_(&host),
       cfg_(cfg),
       server_(host.loop(), cfg.capacity_rps, std::move(server_rng)),
@@ -66,14 +59,11 @@ void RetryThinner::admit(RequestState& st) {
   if (auto* o = host_->loop().observer()) {
     o->on_admission(obs_cls(st.cls), price, /*direct=*/st.retries <= 1);
   }
+  stats_.count_served(st.cls);
   if (st.cls == ClientClass::kGood) {
-    ++stats_.served_good;
     stats_.retries_good.add(price);
   } else if (st.cls == ClientClass::kBad) {
-    ++stats_.served_bad;
     stats_.retries_bad.add(price);
-  } else {
-    ++stats_.served_other;
   }
   server_.submit(server::ServiceRequest{st.id, st.cls, st.difficulty});
 }

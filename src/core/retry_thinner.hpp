@@ -28,16 +28,9 @@ namespace speakup::core {
 
 class RetryThinner : public FrontEnd {
  public:
-  struct Config {
-    double capacity_rps = 100.0;
-    Bytes response_body = 1000;
-    std::uint32_t request_port = 80;
-  };
-
-  RetryThinner(transport::Host& host, const Config& cfg, util::RngStream server_rng);
+  RetryThinner(transport::Host& host, const FrontEndConfig& cfg, util::RngStream server_rng);
 
   // --- FrontEnd ---
-  [[nodiscard]] std::string_view name() const override { return "retry"; }
   [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
   [[nodiscard]] std::size_t contending() const override { return states_.size(); }
   [[nodiscard]] Duration server_busy_good() const override {
@@ -68,7 +61,7 @@ class RetryThinner : public FrontEnd {
   void admit(RequestState& st);
 
   transport::Host* host_;
-  Config cfg_;
+  FrontEndConfig cfg_;
   server::EmulatedServer server_;
   http::SessionPool pool_;
   ThinnerStats stats_;

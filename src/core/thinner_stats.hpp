@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "http/message.hpp"
 #include "stats/counter_set.hpp"
 #include "stats/sample_set.hpp"
 #include "stats/time_series.hpp"
@@ -31,6 +32,17 @@ struct ThinnerStats {
   /// Payment bytes sunk per 5-second interval (§7.1's reporting unit).
   stats::TimeSeries payment_rate{Duration::seconds(5)};
   stats::CounterSet counters;
+
+  /// Counts one admitted request under its client class.
+  void count_served(http::ClientClass cls) {
+    if (cls == http::ClientClass::kGood) {
+      ++served_good;
+    } else if (cls == http::ClientClass::kBad) {
+      ++served_bad;
+    } else {
+      ++served_other;
+    }
+  }
 
   [[nodiscard]] std::int64_t served_total() const {
     return served_good + served_bad + served_other;

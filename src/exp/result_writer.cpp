@@ -56,7 +56,7 @@ const std::string& ResultWriter::csv_header() {
 std::string ResultWriter::csv_row(std::size_t index, const RunOutcome& o) {
   std::ostringstream os;
   os << index << ',' << csv_escape(o.label) << ','
-     << csv_escape(o.config.defense_name()) << ','
+     << csv_escape(o.config.defense) << ','
      << csv_escape(o.config.strategy_names()) << ',' << o.config.seed << ','
      << fmt(o.config.capacity_rps) << ',' << fmt(o.config.duration.sec()) << ',';
   if (o.ok()) {
@@ -107,7 +107,7 @@ void ResultWriter::write_json(std::ostream& os) const {
     json::Value entry;
     entry.set("index", static_cast<double>(row->index));
     entry.set("label", o.label);
-    entry.set("defense", o.config.defense_name());
+    entry.set("defense", o.config.defense);
     entry.set("strategy_names", o.config.strategy_names());
     entry.set("seed", static_cast<double>(o.config.seed));
     entry.set("capacity_rps", o.config.capacity_rps);

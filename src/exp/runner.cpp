@@ -10,7 +10,7 @@ namespace speakup::exp {
 Runner& Runner::add(ScenarioConfig cfg, std::string label) {
   util::require(!ran_, "Runner: cannot add scenarios after run_all");
   if (label.empty()) {
-    label = cfg.defense_name() + "/" + std::to_string(jobs_.size());
+    label = cfg.defense + "/" + std::to_string(jobs_.size());
   }
   for (const Job& j : jobs_) {
     util::require(j.label != label, "Runner: duplicate label '" + label + "'");
@@ -21,7 +21,7 @@ Runner& Runner::add(ScenarioConfig cfg, std::string label) {
 
 Runner& Runner::add_seed_sweep(ScenarioConfig base, int n_seeds, const std::string& label) {
   util::require(n_seeds > 0, "Runner: seed sweep needs at least one seed");
-  const std::string stem = label.empty() ? base.defense_name() : label;
+  const std::string stem = label.empty() ? base.defense : label;
   for (int k = 0; k < n_seeds; ++k) {
     ScenarioConfig cfg = base;
     cfg.seed = base.seed + static_cast<std::uint64_t>(k);
@@ -31,15 +31,15 @@ Runner& Runner::add_seed_sweep(ScenarioConfig base, int n_seeds, const std::stri
 }
 
 Runner& Runner::sweep_good_fraction(int total_clients, const std::vector<int>& good_counts,
-                                    double capacity_rps, DefenseMode mode,
+                                    double capacity_rps, const std::string& defense,
                                     Duration duration, std::uint64_t seed,
                                     const std::string& label) {
-  const std::string stem = label.empty() ? to_string(mode) : label;
+  const std::string stem = label.empty() ? defense : label;
   for (const int good : good_counts) {
     util::require(good >= 0 && good <= total_clients,
                   "Runner: good count outside [0, total_clients]");
     ScenarioConfig cfg =
-        lan_scenario(good, total_clients - good, capacity_rps, mode, seed);
+        lan_scenario(good, total_clients - good, capacity_rps, defense, seed);
     cfg.duration = duration;
     add(std::move(cfg), stem + "/g" + std::to_string(good));
   }
@@ -146,7 +146,7 @@ stats::Table Runner::summary_table() const {
   stats::Table table({"label", "defense", "served", "alloc(good)", "alloc(bad)",
                       "frac-good-served", "sim-s", "wall-s"});
   for (const RunOutcome& o : outcomes_) {
-    table.row().add(o.label).add(o.config.defense_name());
+    table.row().add(o.label).add(o.config.defense);
     if (o.ok()) {
       table.add(o.result.served_total)
           .add(o.result.allocation_good, 3)

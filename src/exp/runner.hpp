@@ -1,7 +1,7 @@
 // Batch experiment runner: the one sweep loop everything shares.
 //
 // Every figure and table in the paper is a sweep — over the good-bandwidth
-// fraction, the capacity, the POST size, the defense mode. Runner collects
+// fraction, the capacity, the POST size, the defense. Runner collects
 // labeled ScenarioConfigs, executes them on a thread pool (scenarios are
 // fully independent: each Experiment owns its event loop and every RNG
 // stream derives from the scenario seed), and returns results in insertion
@@ -59,9 +59,10 @@ class Runner {
   /// Grid helper for the paper's staple x-axis (Figure 2): for each g in
   /// `good_counts`, queues lan_scenario(g, total_clients - g, ...) labeled
   /// "<label>/g<g>" (empty label -> the defense name; pass distinct labels
-  /// to sweep the same mode twice on one Runner).
+  /// to sweep the same defense twice on one Runner).
   Runner& sweep_good_fraction(int total_clients, const std::vector<int>& good_counts,
-                              double capacity_rps, DefenseMode mode, Duration duration,
+                              double capacity_rps, const std::string& defense,
+                              Duration duration,
                               std::uint64_t seed = 1, const std::string& label = "");
 
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }

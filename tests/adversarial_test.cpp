@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "client/strategy.hpp"
-#include "core/elastic_front_end.hpp"
-#include "core/puzzle_front_end.hpp"
+#include "core/no_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
 
@@ -28,8 +27,7 @@ exp::ScenarioConfig overload_lan(const std::string& defense,
                                  const std::string& bad_strategy,
                                  std::vector<std::pair<std::string, double>> knobs = {}) {
   exp::ScenarioConfig cfg = exp::lan_scenario(/*good=*/5, /*bad=*/5, /*capacity_rps=*/6.0,
-                                              exp::DefenseMode::kAuction, /*seed=*/42);
-  cfg.defense = defense;
+                                              defense, /*seed=*/42);
   cfg.duration = Duration::seconds(6.0);
   cfg.elastic_interval = Duration::seconds(1.0);
   cfg.groups[0].workload.request_timeout = Duration::seconds(2.0);
@@ -42,9 +40,12 @@ exp::ScenarioConfig overload_lan(const std::string& defense,
 // Differential: inert configurations reproduce their baselines exactly.
 // ---------------------------------------------------------------------------
 
-// "elastic" with max_scale <= 1 can never re-provision, so it must not even
-// arm its monitor timer: apart from the defense's name, the run is
-// bit-for-bit the "none" run — same event count, same fingerprint.
+// "none" and "elastic" are one class; the factory builds "none" with the
+// monitor forced off, whatever the scenario's elastic knobs say (here the
+// default max scale of 4). "elastic" with max_scale <= 1 can never
+// re-provision, so it must not even arm its monitor timer: apart from the
+// defense's name, the run is bit-for-bit the "none" run — same event count,
+// same fingerprint.
 TEST(AdversarialDifferential, ElasticAtUnitScaleIsRowIdenticalToNone) {
   const exp::ExperimentResult none = exp::run_scenario(overload_lan("none", "poisson"));
 
@@ -95,7 +96,7 @@ TEST(AdversarialBehavior, ElasticScalesUpUnderOverloadAndServesMoreThanNone) {
 
   exp::Experiment ex(overload_lan("elastic", "poisson"));
   const exp::ExperimentResult elastic = ex.run();
-  auto* fe = dynamic_cast<core::ElasticFrontEnd*>(ex.front_end());
+  auto* fe = dynamic_cast<core::NoDefenseFrontEnd*>(ex.front_end());
   ASSERT_NE(fe, nullptr);
   EXPECT_GT(fe->scale(), 1.0);
   EXPECT_LE(fe->scale(), 4.0);

@@ -32,7 +32,7 @@ struct ProxyRig {
 
 TEST(PaymentProxy, RelaysRequestAndResponseOnIdleServer) {
   ProxyRig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 50.0;
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   PaymentProxy::Config pc;
@@ -56,7 +56,7 @@ TEST(PaymentProxy, RelaysRequestAndResponseOnIdleServer) {
 
 TEST(PaymentProxy, PaysOnBehalfOfClientsUnderLoad) {
   ProxyRig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 1.0;  // slow server forces payment
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   PaymentProxy::Config pc;
@@ -86,7 +86,7 @@ TEST(PaymentProxy, PaysOnBehalfOfClientsUnderLoad) {
 }
 
 TEST(PaymentProxy, ExperimentValidatesConfig) {
-  exp::ScenarioConfig cfg = exp::lan_scenario(2, 0, 10.0, exp::DefenseMode::kAuction, 1);
+  exp::ScenarioConfig cfg = exp::lan_scenario(2, 0, 10.0, "auction", 1);
   cfg.duration = Duration::seconds(5.0);
   cfg.groups[0].via_proxy = true;  // no proxy configured
   EXPECT_THROW(exp::Experiment{cfg}, std::invalid_argument);
@@ -97,7 +97,7 @@ TEST(PaymentProxy, CuresBandwidthEnvyEndToEnd) {
   // served at the proxy's bandwidth, not their own.
   auto build = [](bool with_proxy) {
     exp::ScenarioConfig cfg;
-    cfg.mode = exp::DefenseMode::kAuction;
+    cfg.defense = "auction";
     cfg.capacity_rps = 20.0;
     cfg.seed = 17;
     cfg.duration = Duration::seconds(30.0);
@@ -124,7 +124,7 @@ TEST(PaymentProxy, CuresBandwidthEnvyEndToEnd) {
 
 TEST(PaymentProxy, ClientAbandonmentCleansUpRelay) {
   ProxyRig rig;
-  core::AuctionThinner::Config tc;
+  core::FrontEndConfig tc;
   tc.capacity_rps = 0.1;  // nobody gets served quickly
   core::AuctionThinner thinner(*rig.thinner_host, tc, util::RngStream(1, "srv"));
   PaymentProxy::Config pc;

@@ -38,7 +38,7 @@ TEST(ScenarioIo, MinimalFileUsesConfigDefaults) {
   const LabeledScenario& s = f.scenarios[0];
   EXPECT_EQ(s.index, 0u);
   EXPECT_EQ(s.label, "retry");
-  EXPECT_EQ(s.config.defense_name(), "retry");
+  EXPECT_EQ(s.config.defense, "retry");
   // Untouched knobs keep the ScenarioConfig defaults.
   const exp::ScenarioConfig defaults;
   EXPECT_DOUBLE_EQ(s.config.capacity_rps, defaults.capacity_rps);
@@ -104,7 +104,7 @@ TEST(ScenarioIo, GridExpandsCrossProductInOrder) {
     EXPECT_EQ(f.scenarios[i].index, i);
   }
   EXPECT_DOUBLE_EQ(f.scenarios[4].config.capacity_rps, 100.0);
-  EXPECT_EQ(f.scenarios[4].config.defense_name(), "auction");
+  EXPECT_EQ(f.scenarios[4].config.defense, "auction");
 }
 
 TEST(ScenarioIo, GridReachesNestedPathsAndLanTotal) {
@@ -164,7 +164,7 @@ TEST(ScenarioIo, GroupAndLinkKnobsParse) {
   })");
   ASSERT_EQ(f.scenarios.size(), 1u);
   const exp::ScenarioConfig& c = f.scenarios[0].config;
-  EXPECT_EQ(c.defense_name(), "quantum");
+  EXPECT_EQ(c.defense, "quantum");
   EXPECT_EQ(c.quantum, Duration::seconds(0.02));
   EXPECT_EQ(c.payment_window, Duration::seconds(5.0));
   EXPECT_EQ(c.response_body, 500);
@@ -216,7 +216,7 @@ TEST(ScenarioIo, ParsedScenarioMatchesHandBuiltFingerprint) {
   })");
   ASSERT_EQ(f.scenarios.size(), 1u);
   exp::ScenarioConfig hand =
-      exp::lan_scenario(3, 3, 50.0, exp::DefenseMode::kAuction, 17);
+      exp::lan_scenario(3, 3, 50.0, "auction", 17);
   hand.duration = Duration::seconds(2.0);
   const exp::ExperimentResult from_file = exp::run_scenario(f.scenarios[0].config);
   const exp::ExperimentResult from_hand = exp::run_scenario(hand);
@@ -363,7 +363,7 @@ TEST(ScenarioFiles, Fig4AndSec74ExpandToTheBenchGrids) {
   std::set<std::string> labels;
   for (const auto& s : fig4.scenarios) {
     labels.insert(s.label);
-    EXPECT_EQ(s.config.defense_name(), "auction");
+    EXPECT_EQ(s.config.defense, "auction");
     EXPECT_EQ(s.config.seed, 23u);
   }
   EXPECT_TRUE(labels.count("c50"));
@@ -404,14 +404,14 @@ TEST(ScenarioFiles, AdversaryFilesSweepEveryDefenseWithTheirStrategy) {
     EXPECT_EQ(f.scenarios.size(), count) << name;
     std::set<std::string> defenses;
     for (const auto& s : f.scenarios) {
-      defenses.insert(s.config.defense_name());
+      defenses.insert(s.config.defense);
       ASSERT_EQ(s.config.groups.size(), 2u) << name;
       EXPECT_EQ(s.config.groups[0].workload.strategy, "poisson") << name;
       EXPECT_EQ(s.config.groups[1].workload.strategy, strategy) << name;
     }
-    // Each adversary file sweeps every built-in defense.
-    for (const exp::DefenseMode m : exp::kAllDefenseModes) {
-      EXPECT_TRUE(defenses.count(exp::to_string(m))) << name << " " << exp::to_string(m);
+    // Each adversary file sweeps the paper's four defenses.
+    for (const char* defense : {"none", "retry", "auction", "quantum"}) {
+      EXPECT_TRUE(defenses.count(defense)) << name << " " << defense;
     }
   }
 }
