@@ -19,14 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
+#include "core/auction_book.hpp"
 #include "core/front_end.hpp"
 #include "core/thinner_stats.hpp"
-#include "http/message.hpp"
-#include "http/message_stream.hpp"
-#include "http/session_pool.hpp"
 #include "server/interruptible_server.hpp"
 #include "sim/timer.hpp"
 #include "transport/host.hpp"
@@ -41,7 +37,7 @@ class QuantumAuctionThinner : public FrontEnd {
 
   // --- FrontEnd ---
   [[nodiscard]] const ThinnerStats& stats() const override { return stats_; }
-  [[nodiscard]] std::size_t contending() const override { return states_.size(); }
+  [[nodiscard]] std::size_t contending() const override { return book_.size(); }
   [[nodiscard]] Duration server_busy_good() const override {
     return server_.good_busy_time();
   }
@@ -61,49 +57,19 @@ class QuantumAuctionThinner : public FrontEnd {
   [[nodiscard]] std::int64_t aborts() const { return stats_.counters.get("aborts"); }
 
  private:
-  struct RequestState {
-    std::uint64_t id = 0;
-    http::ClientClass cls = http::ClientClass::kNeutral;
-    int difficulty = 1;
-    bool has_request = false;
-    bool active = false;      // currently holds the server
-    bool suspended = false;   // SUSPENDed inside the server
-    bool started = false;     // has been admitted at least once
-    Bytes paid = 0;           // bid for the *next* quantum
-    SimTime created;
-    SimTime suspended_at;
-    SimTime first_payment;
-    bool started_paying = false;
-    http::MessageStream* request_session = nullptr;
-    http::MessageStream* payment_session = nullptr;
-    std::unique_ptr<sim::Timer> expiry;  // payment window (armed while never admitted)
-  };
+  using RequestState = AuctionBook::RequestState;
 
-  void on_request_accept(transport::TcpConnection& conn);
-  void on_payment_accept(transport::TcpConnection& conn);
-  void on_request_message(http::MessageStream& s, const http::Message& m);
-  void on_payment_message(http::MessageStream& s, const http::Message& m);
-  void on_payment_progress(http::MessageStream& s, const http::Message& m, Bytes newly);
-  void on_stream_reset(http::MessageStream& s);
   void on_server_complete(const server::ServiceRequest& done);
   void quantum_tick();
   void give_server_to(RequestState& st);
   void abort_request(std::uint64_t id);
-  void expire(std::uint64_t id);
-  void destroy_state(std::uint64_t id, bool abort_sessions);
-  RequestState& get_or_create(std::uint64_t id, http::ClientClass cls);
-  RequestState* state_for(http::MessageStream& s);
-  RequestState* active_state();
-  RequestState* top_contender();
 
   transport::Host* host_;
   FrontEndConfig cfg_;
   Duration quantum_;
   server::InterruptibleServer server_;
-  http::SessionPool pool_;
   ThinnerStats stats_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<RequestState>> states_;
-  std::unordered_map<http::MessageStream*, std::uint64_t> by_stream_;
+  AuctionBook book_;
   sim::Timer quantum_timer_;
 };
 

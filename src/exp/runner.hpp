@@ -52,19 +52,6 @@ class Runner {
   /// Labels must be unique (result() looks them up).
   Runner& add(ScenarioConfig cfg, std::string label = "");
 
-  /// Queues `n_seeds` copies of `base` with seeds base.seed .. base.seed +
-  /// n_seeds - 1, labeled "<label>/seed<k>".
-  Runner& add_seed_sweep(ScenarioConfig base, int n_seeds, const std::string& label = "");
-
-  /// Grid helper for the paper's staple x-axis (Figure 2): for each g in
-  /// `good_counts`, queues lan_scenario(g, total_clients - g, ...) labeled
-  /// "<label>/g<g>" (empty label -> the defense name; pass distinct labels
-  /// to sweep the same defense twice on one Runner).
-  Runner& sweep_good_fraction(int total_clients, const std::vector<int>& good_counts,
-                              double capacity_rps, const std::string& defense,
-                              Duration duration,
-                              std::uint64_t seed = 1, const std::string& label = "");
-
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
 
   /// Attaches an obs::Observer with these options to every run; each

@@ -1,4 +1,4 @@
-// Tests for the batch Runner: labeling, sweep helpers, error capture, and —
+// Tests for the batch Runner: labeling, error capture, and —
 // the load-bearing property — parallel run_all() producing results
 // bit-identical to serial execution for fixed seeds.
 #include <gtest/gtest.h>
@@ -45,32 +45,6 @@ TEST(Runner, OutcomesBeforeRunThrow) {
   EXPECT_THROW((void)r.outcomes(), std::invalid_argument);
 }
 
-TEST(Runner, SeedSweepLabelsAndSeeds) {
-  Runner r;
-  ScenarioConfig base = tiny("none", /*seed=*/10);
-  r.add_seed_sweep(base, 3);
-  ASSERT_EQ(r.size(), 3u);
-  r.run_all(2);
-  EXPECT_EQ(r.outcomes()[0].label, "none/seed10");
-  EXPECT_EQ(r.outcomes()[2].label, "none/seed12");
-  EXPECT_EQ(r.outcomes()[0].config.seed, 10u);
-  EXPECT_EQ(r.outcomes()[2].config.seed, 12u);
-  // Different seeds give different trajectories.
-  EXPECT_NE(r.outcomes()[0].result.events_executed, r.outcomes()[1].result.events_executed);
-}
-
-TEST(Runner, SweepGoodFractionBuildsPaperGrid) {
-  Runner r;
-  r.sweep_good_fraction(10, {2, 5, 8}, 50.0, "none", Duration::seconds(2.0),
-                        /*seed=*/5);
-  ASSERT_EQ(r.size(), 3u);
-  r.run_all(0);
-  const RunOutcome& o = r.outcome("none/g2");
-  ASSERT_EQ(o.config.groups.size(), 2u);
-  EXPECT_EQ(o.config.groups[0].count, 2);
-  EXPECT_EQ(o.config.groups[1].count, 8);
-}
-
 TEST(Runner, FailedScenarioIsCapturedNotFatal) {
   Runner r;
   ScenarioConfig bad = tiny("auction");
@@ -98,7 +72,9 @@ TEST(Runner, ParallelEqualsSerialPerSeed) {
     for (const std::string defense : {"none", "auction", "retry", "quantum"}) {
       r.add(tiny(defense), "m/" + defense);
     }
-    r.add_seed_sweep(tiny("auction", 100), 4, "sweep");
+    for (std::uint64_t seed = 100; seed < 104; ++seed) {
+      r.add(tiny("auction", seed), "sweep/seed" + std::to_string(seed));
+    }
   };
 
   Runner serial;

@@ -5,9 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
+#include "core/auction_game.hpp"
 #include "core/theory.hpp"
 #include "util/rng.hpp"
 
@@ -79,38 +79,13 @@ TEST(Theory, NoDefenseAllocation) {
 // discretization slack.
 // ---------------------------------------------------------------------------
 
-/// One auction per tick; bids accumulate; winner's bid resets to zero.
-/// Returns the fraction of auctions the victim won.
-/// `adversary` decides, each tick, how to distribute its per-tick budget
-/// across its (unbounded) set of virtual clients.
-template <typename AdversaryFn>
-double run_auction_game(double eps, int ticks, AdversaryFn adversary) {
-  // Victim deposits eps per tick; adversary deposits (1-eps) per tick in
-  // total, split however it likes.
-  double victim_bid = 0.0;
-  std::map<int, double> adversary_bids;
-  int victim_wins = 0;
-  for (int t = 0; t < ticks; ++t) {
-    victim_bid += eps;
-    adversary(t, adversary_bids, victim_bid);
-    // Auction: victim vs best adversary bid. Adversary wins ties (worst
-    // case for the victim).
-    double best = 0.0;
-    int best_id = -1;
-    for (const auto& [id, bid] : adversary_bids) {
-      if (bid > best) {
-        best = bid;
-        best_id = id;
-      }
-    }
-    if (victim_bid > best) {
-      ++victim_wins;
-      victim_bid = 0.0;
-    } else if (best_id >= 0) {
-      adversary_bids[best_id] = 0.0;
-    }
-  }
-  return static_cast<double>(victim_wins) / ticks;
+/// One auction per tick; bids accumulate; the winner's bid resets to zero
+/// and the adversary wins ties. This is core::run_auction_game (the game
+/// bench/abl5 sweeps) with no service-time jitter, which draws no random
+/// numbers. Returns the fraction of auctions the victim won.
+double play(double eps, const AdversaryFn& adversary) {
+  util::RngStream unused(0, "thm31-no-jitter");
+  return run_auction_game(eps, /*delta=*/0.0, 20000, unused, adversary);
 }
 
 struct Theorem31Case {
@@ -123,37 +98,38 @@ class Theorem31Test : public ::testing::TestWithParam<Theorem31Case> {};
 TEST_P(Theorem31Test, SingleSaverAdversary) {
   // Adversary concentrates everything in one bid.
   const double eps = GetParam().eps;
-  const double won = run_auction_game(eps, 20000, [&](int, std::map<int, double>& bids, double) {
-    bids[0] += 1.0 - eps;
+  const double won = play(eps, [](int, AdversaryBids& bids, double, double budget) {
+    bids[0] += budget;
   });
   EXPECT_GE(won, theorem31_service_fraction(eps) * 0.95);
 }
 
 TEST_P(Theorem31Test, ManyEqualAdversaries) {
-  // Adversary splits across 10 equal clients.
+  // Adversary splits across n equal clients.
   const double eps = GetParam().eps;
-  const double won = run_auction_game(eps, 20000, [&](int, std::map<int, double>& bids, double) {
-    for (int i = 0; i < 10; ++i) bids[i] += (1.0 - eps) / 10.0;
-  });
-  EXPECT_GE(won, theorem31_service_fraction(eps) * 0.95);
+  for (const int n : {10, 20}) {
+    const double won = play(eps, [n](int, AdversaryBids& bids, double, double budget) {
+      for (int i = 0; i < n; ++i) bids[i] += budget / n;
+    });
+    EXPECT_GE(won, theorem31_service_fraction(eps) * 0.95) << n << "-way split";
+  }
 }
 
 TEST_P(Theorem31Test, ReactiveOutbidder) {
   // The proof's worst case: the adversary watches the victim's bid and
   // spends just enough to beat it, banking the rest.
   const double eps = GetParam().eps;
-  const double won =
-      run_auction_game(eps, 20000, [&](int, std::map<int, double>& bids, double victim) {
-        double& active = bids[0];
-        double& bank = bids[1];
-        bank += 1.0 - eps;
-        // Move exactly enough from the bank to outbid the victim.
-        const double need = victim - active;
-        if (need > 0 && bank >= need) {
-          active += need;
-          bank -= need;
-        }
-      });
+  const double won = play(eps, [](int, AdversaryBids& bids, double victim, double budget) {
+    double& active = bids[0];
+    double& bank = bids[1];
+    bank += budget;
+    // Move exactly enough from the bank to outbid the victim.
+    const double need = victim - active;
+    if (need > 0 && bank >= need) {
+      active += need;
+      bank -= need;
+    }
+  });
   // This strategy approaches the eps/2-ish floor; it must not go below it.
   EXPECT_GE(won, theorem31_service_fraction_loose(eps) * 0.9);
 }
@@ -161,18 +137,18 @@ TEST_P(Theorem31Test, ReactiveOutbidder) {
 TEST_P(Theorem31Test, RandomizedAdversary) {
   const double eps = GetParam().eps;
   util::RngStream rng(99, "thm31");
-  const double won =
-      run_auction_game(eps, 20000, [&](int, std::map<int, double>& bids, double) {
-        const int k = static_cast<int>(rng.uniform_int(0, 4));
-        bids[k] += 1.0 - eps;
-      });
+  const double won = play(eps, [&rng](int, AdversaryBids& bids, double, double budget) {
+    bids[static_cast<int>(rng.uniform_int(0, 4))] += budget;
+  });
   EXPECT_GE(won, theorem31_service_fraction(eps) * 0.95);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Theorem31Test,
                          ::testing::Values(Theorem31Case{"eps05", 0.05},
                                            Theorem31Case{"eps10", 0.10},
+                                           Theorem31Case{"eps20", 0.20},
                                            Theorem31Case{"eps25", 0.25},
+                                           Theorem31Case{"eps33", 0.33},
                                            Theorem31Case{"eps50", 0.50}),
                          [](const ::testing::TestParamInfo<Theorem31Case>& i) {
                            return i.param.name;

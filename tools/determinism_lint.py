@@ -29,11 +29,13 @@ that promise:
 Known-good sites live in tools/lint_allowlist.txt as
 `path|rule|content-substring` lines; the substring is matched against the
 offending line's text, so entries survive unrelated line renumbering.
-Stale entries (matching nothing) are reported as warnings.
+A stale entry (one that matches nothing) is an error: when code moves, its
+allowlist entry and justification must move with it.
 
-Exit status: 0 clean, 1 violations found, 2 usage/config error.
---self-test seeds one violation per rule into a synthetic file and exits
-0 only if the scanner flags all of them (the CI negative self-test).
+Exit status: 0 clean, 1 violations or stale entries found, 2 usage/config
+error. --self-test seeds one violation per rule into a synthetic file and
+one stale allowlist entry, and exits 0 only if the scanner flags all of
+them (the CI negative self-test).
 """
 
 from __future__ import annotations
@@ -123,17 +125,9 @@ def load_allowlist(path: Path) -> list[tuple[str, str, str]]:
     return entries
 
 
-def run_lint(root: Path) -> int:
-    src = root / "src"
-    files = [
-        (str(p.relative_to(root)), p.read_text())
-        for p in sorted(src.rglob("*"))
-        if p.suffix in (".cpp", ".hpp", ".h", ".cc")
-    ]
-    violations = scan(files)
-    allowlist = load_allowlist(root / "tools" / "lint_allowlist.txt")
+def apply_allowlist(violations, allowlist):
+    """Returns (violations no entry allows, entries that allow nothing)."""
     used = [False] * len(allowlist)
-
     reported = []
     for path, line_no, rule, text in violations:
         allowed = False
@@ -143,18 +137,30 @@ def run_lint(root: Path) -> int:
                 allowed = True
         if not allowed:
             reported.append((path, line_no, rule, text))
+    stale = [entry for entry, u in zip(allowlist, used) if not u]
+    return reported, stale
 
-    for (a_path, a_rule, a_sub), u in zip(allowlist, used):
-        if not u:
-            print(f"warning: stale allowlist entry: {a_path}|{a_rule}|{a_sub}")
 
+def run_lint(root: Path) -> int:
+    src = root / "src"
+    files = [
+        (str(p.relative_to(root)), p.read_text())
+        for p in sorted(src.rglob("*"))
+        if p.suffix in (".cpp", ".hpp", ".h", ".cc")
+    ]
+    allowlist = load_allowlist(root / "tools" / "lint_allowlist.txt")
+    reported, stale = apply_allowlist(scan(files), allowlist)
+
+    for a_path, a_rule, a_sub in stale:
+        print(f"tools/lint_allowlist.txt: stale entry (matches nothing): {a_path}|{a_rule}|{a_sub}")
     for path, line_no, rule, text in reported:
         print(f"{path}:{line_no}: [{rule}] {text}")
-    if reported:
+    if reported or stale:
         print(
-            f"determinism lint: {len(reported)} violation(s). Either make the "
-            "code deterministic or add a justified entry to "
-            "tools/lint_allowlist.txt (see docs/correctness.md)."
+            f"determinism lint: {len(reported)} violation(s), {len(stale)} stale "
+            "allowlist entry(ies). Either make the code deterministic or add a "
+            "justified entry to tools/lint_allowlist.txt, and delete or update "
+            "entries whose code moved (see docs/correctness.md)."
         )
         return 1
     print(f"determinism lint: clean ({len(files)} files scanned).")
@@ -176,6 +182,13 @@ struct Seeded {
 )
 
 
+# One entry that allows the seeded range-for, one that matches nothing.
+SELF_TEST_ALLOWLIST = [
+    ("src/fake/seeded.hpp", "unordered-iteration", "for (auto& [k, v] : table_)"),
+    ("src/fake/seeded.hpp", "unordered-iteration", "for (auto& [k, v] : moved_away_)"),
+]
+
+
 def run_self_test() -> int:
     violations = scan([SELF_TEST_FILE])
     rules = {rule for _, _, rule, _ in violations}
@@ -184,7 +197,14 @@ def run_self_test() -> int:
     if missing:
         print(f"self-test FAILED: rules not detected: {sorted(missing)}")
         return 1
-    print("self-test passed: all banned patterns detected on seeded input.")
+    reported, stale = apply_allowlist(violations, SELF_TEST_ALLOWLIST)
+    if stale != SELF_TEST_ALLOWLIST[1:]:
+        print(f"self-test FAILED: stale allowlist entries detected as {stale}")
+        return 1
+    if any(rule == "unordered-iteration" for _, _, rule, _ in reported):
+        print("self-test FAILED: an allowlist entry did not allow its line")
+        return 1
+    print("self-test passed: all banned patterns and the stale entry detected.")
     return 0
 
 
