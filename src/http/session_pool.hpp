@@ -94,7 +94,15 @@ class SessionPool {
   }
 
   void add_chunk() {
-    chunks_.push_back(std::make_unique<RawSlot[]>(kChunk));
+    // Raw storage for placement-new: nothing to zero.
+    chunks_.push_back(std::make_unique_for_overwrite<RawSlot[]>(kChunk));
+    // Reserve the chunk's slot metadata now, so only a chunk boundary
+    // touches the allocator — never a mid-chunk rise in the slot
+    // high-water mark.
+    const std::size_t capacity = chunks_.size() * kChunk;
+    states_.reserve(capacity);
+    park_ev_.reserve(capacity);
+    free_.reserve(capacity);
     const auto idx = static_cast<std::uint32_t>(chunks_.size() - 1);
     const RawSlot* base = chunks_.back().get();
     const auto at = std::upper_bound(

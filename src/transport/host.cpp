@@ -33,15 +33,19 @@ std::uint32_t Host::acquire_slot() {
     return slot;
   }
   const auto slot = static_cast<std::uint32_t>(states_.size());
-  if (slot % kChunk == 0) {
-    chunks_.push_back(std::make_unique<RawSlot[]>(kChunk));
-    // Reserve the whole chunk's metadata now: the slot high-water mark can
+  if (slot == slab_capacity(chunks_.size())) {
+    // Raw storage for placement-new: nothing to zero.
+    const std::size_t slots = chunk_size(chunks_.size());
+    chunks_.push_back(std::make_unique_for_overwrite<RawSlot[]>(slots));
+    SPEAKUP_AUDIT_ONLY(chunk_sizes_.push_back(slots);)
+    // Reserve the whole slab's metadata now: the slot high-water mark can
     // rise mid-run (a deferred release overlapping an immediate reconnect),
     // and that moment must not touch the allocator — only chunk boundaries
     // may (the client engine's steady state stays allocation-free).
-    states_.reserve(chunks_.size() * kChunk);
-    release_ev_.reserve(chunks_.size() * kChunk);
-    free_.reserve(chunks_.size() * kChunk);
+    const std::size_t capacity = slab_capacity(chunks_.size());
+    states_.reserve(capacity);
+    release_ev_.reserve(capacity);
+    free_.reserve(capacity);
   }
   states_.push_back(SlotState::kEmpty);
   release_ev_.emplace_back();
@@ -65,7 +69,7 @@ std::size_t Host::find_index(std::uint32_t local_port, net::NodeId remote,
 void Host::table_grow() {
   std::vector<TableEntry> old;
   old.swap(table_);
-  table_.resize(old.empty() ? 16 : old.size() * 2);
+  table_.resize(old.empty() ? kMinTable : old.size() * 2);
   for (const TableEntry& e : old) {
     if (e.slot == kNilSlot) continue;
     std::size_t i = probe_of(e);
@@ -110,6 +114,22 @@ void Host::table_erase(std::uint32_t local_port, net::NodeId remote,
 
 #if SPEAKUP_AUDIT_ENABLED
 void Host::audit() const {
+  SPEAKUP_AUDIT_CHECK(chunk_sizes_.size() == chunks_.size(),
+                      "Host: every slab chunk must record its size");
+  for (std::size_t k = 0; k < chunk_sizes_.size(); ++k) {
+    SPEAKUP_AUDIT_CHECK(chunk_sizes_[k] == std::size_t{2} << k,
+                        "Host: slab chunk k must hold 2^(k+1) slots");
+  }
+  const std::size_t capacity = slab_capacity(chunks_.size());
+  SPEAKUP_AUDIT_CHECK(states_.size() <= capacity,
+                      "Host: slot metadata must not exceed slab capacity");
+  SPEAKUP_AUDIT_CHECK(chunks_.empty() || states_.size() > slab_capacity(chunks_.size() - 1),
+                      "Host: a slab chunk must not be allocated before its first slot");
+  SPEAKUP_AUDIT_CHECK(release_ev_.size() == states_.size(),
+                      "Host: release events must be indexed like slot states");
+  SPEAKUP_AUDIT_CHECK(states_.capacity() >= capacity && release_ev_.capacity() >= capacity &&
+                          free_.capacity() >= capacity,
+                      "Host: slot metadata must be reserved to slab capacity");
   SPEAKUP_AUDIT_CHECK(table_.empty() || (table_.size() & (table_.size() - 1)) == 0,
                       "Host: demux table size must be a power of two");
   std::vector<std::uint8_t> tabled(states_.size(), 0);
@@ -162,6 +182,10 @@ void Host::audit() const {
                       "Host: free list must cover exactly the empty slots");
 }
 
+void Host::corrupt_slab_for_test() {
+  states_.resize(slab_capacity(chunks_.size()) + 1, SlotState::kEmpty);
+}
+
 void Host::corrupt_table_for_test() {
   for (TableEntry& e : table_) {
     if (e.slot != kNilSlot) {
@@ -177,7 +201,7 @@ TcpConnection& Host::emplace_connection(std::uint32_t local_port, net::NodeId re
                                         std::uint32_t remote_port, bool initiator) {
   SPEAKUP_ASSERT(find_connection(local_port, remote, remote_port) == nullptr);
   const std::uint32_t slot = acquire_slot();
-  TcpConnection* conn = ::new (static_cast<void*>(chunks_[slot / kChunk][slot % kChunk].bytes))
+  TcpConnection* conn = ::new (static_cast<void*>(raw_at(slot).bytes))
       TcpConnection(*this, local_port, remote, remote_port, tcp_cfg_, initiator);
   states_[slot] = SlotState::kLive;
   table_insert(local_port, remote, remote_port, slot);

@@ -9,8 +9,14 @@
 // demux. Steady-state connect/teardown churn — one connection per request
 // and per payment POST at 10^5-client scale — reuses slots and probes a
 // flat array: no allocator traffic, no tree walks.
+//
+// The slab's chunks double: chunk k holds 2^(k+1) slots (2, 4, 8, ...), so
+// a client host that holds one or two connections at a time pays for two,
+// while a server-side host holding n connections owns O(log n) chunks.
+// Chunks are never freed or moved until the host dies.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -62,25 +68,30 @@ class Host : public net::Node {
   [[nodiscard]] std::size_t live_connections() const { return table_size_; }
 
 #if SPEAKUP_AUDIT_ENABLED
-  /// Structural audit (SPEAKUP_AUDIT builds only): demux-table vs slot-state
-  /// agreement — every table entry reachable from its home probe and backed
-  /// by a constructed connection, every non-empty slot tabled exactly once,
-  /// free list covering exactly the empty slots, releasing slots holding a
-  /// pending destroy event. Runs every kAuditPeriod table mutations.
+  /// Structural audit (SPEAKUP_AUDIT builds only): slab geometry — chunk k
+  /// holds 2^(k+1) slots, no chunk beyond the slot high-water mark's, slot
+  /// metadata within slab capacity and reserved to it — then demux-table vs
+  /// slot-state agreement — every table entry reachable from its home probe
+  /// and backed by a constructed connection, every non-empty slot tabled
+  /// exactly once, free list covering exactly the empty slots, releasing
+  /// slots holding a pending destroy event. Runs every kAuditPeriod table
+  /// mutations.
   void audit() const;
   /// Deliberate corruption for tests/audit_test.cpp: drops one live table
   /// entry without releasing its slot — the signature of a lost erase.
   void corrupt_table_for_test();
+  /// Deliberate corruption for tests/audit_test.cpp: records one slot of
+  /// metadata past the slab's capacity — a slot with no storage behind it.
+  void corrupt_slab_for_test();
 #endif
 
  private:
   enum class SlotState : std::uint8_t { kEmpty, kLive, kReleasing };
 
-  /// Slab chunk size: client hosts hold a handful of live connections
-  /// (window + one payment channel), so chunks stay small to keep 10^5
-  /// hosts cheap; server-side hosts just grow more chunks.
-  static constexpr std::size_t kChunk = 8;
   static constexpr std::uint32_t kNilSlot = UINT32_MAX;
+  /// Demux table size on first insert: at the 70% load limit it holds a
+  /// client host's one or two connections; server-side hosts double it.
+  static constexpr std::size_t kMinTable = 4;
 
   struct alignas(TcpConnection) RawSlot {
     std::byte bytes[sizeof(TcpConnection)];
@@ -98,9 +109,24 @@ class Host : public net::Node {
                                     std::uint32_t remote_port, bool initiator);
   std::uint32_t alloc_port() { return next_port_++; }
 
+  /// Chunk k holds 2^(k+1) slots. Two, not one, in the first: a client that
+  /// sends a queued request from inside the reset callback of a denied one
+  /// opens the new connection while the old one still holds its slot until
+  /// its deferred destruction, so two slots is a client host's working set,
+  /// and a one-slot chunk would make that first overlap allocate mid-run.
+  static std::size_t chunk_size(std::size_t k) { return std::size_t{2} << k; }
+  /// Slots the first `chunks` chunks hold together: 2^(chunks+1) - 2.
+  static std::size_t slab_capacity(std::size_t chunks) { return chunk_size(chunks) - 2; }
+
+  /// Slot s lives in chunk k = bit_width(s + 2) - 2, at offset
+  /// s + 2 - 2^(k+1).
+  [[nodiscard]] RawSlot& raw_at(std::uint32_t slot) const {
+    const auto k = static_cast<unsigned>(std::bit_width(slot + 2)) - 2;
+    return chunks_[k][slot + 2 - (2u << k)];
+  }
+
   [[nodiscard]] TcpConnection* conn_at(std::uint32_t slot) const {
-    return std::launder(reinterpret_cast<TcpConnection*>(
-        const_cast<std::byte*>(chunks_[slot / kChunk][slot % kChunk].bytes)));
+    return std::launder(reinterpret_cast<TcpConnection*>(raw_at(slot).bytes));
   }
 
   static std::uint64_t key_hash(std::uint32_t local_port, net::NodeId remote,
@@ -131,7 +157,7 @@ class Host : public net::Node {
   std::uint32_t acquire_slot();
 
   TcpConfig tcp_cfg_;
-  std::vector<std::unique_ptr<RawSlot[]>> chunks_;
+  std::vector<std::unique_ptr<RawSlot[]>> chunks_;  // chunk k: chunk_size(k) slots
   std::vector<SlotState> states_;      // indexed by slot
   std::vector<sim::EventId> release_ev_;  // pending destroy event per slot
   std::vector<std::uint32_t> free_;
@@ -141,6 +167,7 @@ class Host : public net::Node {
   std::uint32_t next_port_ = 1024;
   std::int64_t connections_created_ = 0;
 #if SPEAKUP_AUDIT_ENABLED
+  std::vector<std::size_t> chunk_sizes_;  // slots allocated per chunk
   static constexpr std::uint64_t kAuditPeriod = 64;
   std::uint64_t audit_countdown_ = kAuditPeriod;
   void maybe_audit() {

@@ -6,7 +6,8 @@
 //     invariants must hold on live structures, not just empty ones;
 //   - death tests: each structure's corrupt_*_for_test() hook plants the
 //     signature of a real bug class (missed sift swap, lost table erase,
-//     stale bitmap bit, clobbered heap key) and audit() must catch it.
+//     slot past slab capacity, stale bitmap bit, clobbered heap key) and
+//     audit() must catch it.
 //     Without these, a vacuously-true audit would pass forever.
 //
 // The whole file GTEST_SKIPs unless built with -DSPEAKUP_AUDIT=ON in a
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "client/client_pool.hpp"
 #include "client/workload_client.hpp"
@@ -148,6 +150,27 @@ TEST(Audit, TrafficRigCleanAudits) {
   }
 }
 
+// A host's connection slab doubles (chunk k holds 2^(k+1) slots): 33
+// concurrent connections open five chunks, and the slab geometry
+// must audit clean after each connect, after the releases and after the
+// free slots are reused.
+TEST(Audit, HostSlabGeometryAcrossChunkBoundaries) {
+  Rig rig;
+  transport::Host& a = rig.add_host("a");
+  transport::Host& b = rig.add_host("b");
+  std::vector<transport::TcpConnection*> conns;
+  for (int i = 0; i < 33; ++i) {
+    conns.push_back(&a.connect(b.id(), 80));
+    a.audit();
+  }
+  for (transport::TcpConnection* c : conns) c->abort();
+  a.audit();  // releasing slots hold their destroy events
+  rig.run_for(0.1);
+  a.audit();
+  for (int i = 0; i < 33; ++i) (void)a.connect(b.id(), 80);
+  a.audit();
+}
+
 // ---------------------------------------------------------------------------
 // Death tests: planted corruption must be detected.
 // ---------------------------------------------------------------------------
@@ -187,6 +210,19 @@ TEST(AuditDeathTest, HostDetectsLostTableEntry) {
         a.audit();
       },
       kDeathMsg);
+}
+
+TEST(AuditDeathTest, HostDetectsSlotPastSlabCapacity) {
+  EXPECT_DEATH(
+      {
+        Rig rig;
+        transport::Host& a = rig.add_host("a");
+        transport::Host& b = rig.add_host("b");
+        for (int i = 0; i < 3; ++i) (void)a.connect(b.id(), 80);  // chunks of 2 + 4 slots
+        a.corrupt_slab_for_test();  // a slot with no storage behind it
+        a.audit();
+      },
+      "slot metadata must not exceed slab capacity");
 }
 
 TEST(AuditDeathTest, ClientPoolDetectsHeapPosDesync) {

@@ -10,6 +10,7 @@
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
 #include "transport/host.hpp"
+#include "util/alloc_guard.hpp"
 
 namespace speakup::http {
 namespace {
@@ -239,6 +240,28 @@ TEST(SessionPool, AdoptTracksLiveStreams) {
   h.connect({}, [&](MessageStream&) { return MessageStream::Callbacks{}; });
   h.run(1.0);
   EXPECT_EQ(h.pool.live(), 2u);
+}
+
+// Slot metadata is reserved a whole 64-slot chunk at a time: once the first
+// adopt has built a chunk, the next adopt to allocate is the 65th, which
+// opens the second chunk.
+TEST(SessionPool, OnlyChunkBoundariesAllocate) {
+  constexpr int kStreams = 66;
+  Harness h;
+  std::vector<transport::TcpConnection*> conns;
+  for (int i = 0; i < kStreams; ++i) conns.push_back(&h.a->connect(h.b->id(), 80));
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  h.pool.adopt(*conns[0]);
+  for (int i = 1; i < kStreams; ++i) {
+    const util::AllocGuard guard;
+    h.pool.adopt(*conns[i]);
+    if (i + 1 == 65) {
+      EXPECT_GT(guard.delta(), 0) << "adopt 65 opens a chunk";
+    } else {
+      EXPECT_EQ(guard.delta(), 0) << "adopt " << i + 1 << " allocated";
+    }
+  }
+  EXPECT_EQ(h.pool.live(), static_cast<std::size_t>(kStreams));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // parallel-connection advantage the paper's §3.4/§4.2 discussion relies on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
 #include "transport/host.hpp"
+#include "util/alloc_guard.hpp"
 
 namespace speakup::transport {
 namespace {
@@ -338,6 +340,40 @@ TEST(Host, ConnectionsCreatedCounter) {
   t.loop.run_until(SimTime::zero() + Duration::millis(50));
   EXPECT_EQ(t.a->connections_created(), 2);
   EXPECT_EQ(t.b->connections_created(), 2);  // two accepted
+}
+
+// The connection slab grows in doubling chunks of 2, 4, 8, ... slots, so 33
+// concurrent connections fill four chunks and open a fifth — and no
+// connection may move when a chunk is added: the message layer holds
+// TcpConnection& for a connection's whole life.
+TEST(Host, SlabGrowthKeepsConnectionsInPlace) {
+  constexpr int kConns = 33;
+  TwoHostNet t(kLan);
+  std::vector<TcpConnection*> conns;
+  for (int i = 0; i < kConns; ++i) {
+    conns.push_back(&t.a->connect(t.b->id(), 80));
+    for (TcpConnection* c : conns) {
+      ASSERT_EQ(t.a->find_connection(c->local_port(), t.b->id(), 80), c) << "after connect " << i;
+    }
+  }
+  EXPECT_EQ(t.a->live_connections(), static_cast<std::size_t>(kConns));
+
+  // Released in order, the slots go onto the free list 0, 1, ..., 32, so
+  // reconnecting pops them last-in first-out: the first reconnect lands in
+  // the last connection's storage. Every slot, table entry and metadata
+  // byte already exists, so the reconnect phase must not allocate.
+  for (TcpConnection* c : conns) c->abort();
+  t.loop.run_until(SimTime::zero() + Duration::millis(100));
+  ASSERT_EQ(t.a->live_connections(), 0u);
+  std::vector<TcpConnection*> again(kConns);
+  const util::AllocGuard guard;
+  for (TcpConnection*& c : again) c = &t.a->connect(t.b->id(), 80);
+  const std::int64_t allocations = guard.delta();
+  for (int i = 0; i < kConns; ++i) EXPECT_EQ(again[i], conns[kConns - 1 - i]) << "reconnect " << i;
+#if !SPEAKUP_AUDIT_ENABLED  // audit checkpoints may allocate scratch
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  EXPECT_EQ(allocations, 0) << "reconnecting into freed slots allocated";
+#endif
 }
 
 TEST(Host, DuplicateListenerRejected) {
