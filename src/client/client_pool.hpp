@@ -133,7 +133,7 @@ class ClientPool {
   ~ClientPool();
 
   /// Sizes the per-member arrays for `n` members, so the add_member calls
-  /// that follow never reallocate (and re-copy the ~2.5 KB RNG streams).
+  /// that follow never reallocate (and move every member's state again).
   void reserve(std::size_t n);
 
   /// Adds one member: callers add hosts in global client order, each with

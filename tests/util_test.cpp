@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
-
+#include <cstdint>
 #include <new>
+#include <random>
+#include <set>
+#include <type_traits>
+#include <vector>
 
 #include "util/alloc_guard.hpp"
 #include "util/assert.hpp"
@@ -146,6 +149,103 @@ TEST(RngStream, ChanceProbability) {
     if (r.chance(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+// The lazy engine is std::mt19937_64 word for word: through its compact
+// first 312 draws, across the rewind at draw 156 and the wrap at 311
+// (0-based), and after the real engine takes over at 312. The failure
+// message names the first draw that differs.
+constexpr std::uint64_t kEngineSeeds[] = {
+    0, 1, ~std::uint64_t{0}, util::stream_seed(1, 0), util::stream_seed(7, util::fnv1a("server")),
+    util::stream_seed(42, util::fnv1a("client.99999")), util::stream_seed(~std::uint64_t{0}, 3)};
+
+TEST(LazyMt19937_64, MatchesStdEngineWordForWord) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    util::LazyMt19937_64 lazy(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(lazy(), ref()) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+// A move at each phase boundary carries the cursors (or the materialized
+// engine) over, so the moved-to engine continues the same sequence.
+TEST(LazyMt19937_64, MovedEngineContinuesTheSameTail) {
+  for (const int split : {0, 1, 155, 156, 157, 310, 311, 312, 313, 700}) {
+    util::LazyMt19937_64 lazy(kEngineSeeds[4]);
+    std::mt19937_64 ref(kEngineSeeds[4]);
+    for (int i = 0; i < split; ++i) ASSERT_EQ(lazy(), ref());
+    util::LazyMt19937_64 moved(std::move(lazy));
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(moved(), ref()) << "moved after " << split << " draws, tail draw " << i;
+    }
+  }
+}
+
+// The compact phase costs nothing on the heap; the 313th draw allocates the
+// engine exactly once, and it is never reallocated.
+TEST(LazyMt19937_64, AllocatesOnceOnDraw313) {
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  util::LazyMt19937_64 lazy(kEngineSeeds[5]);
+  std::uint64_t sink = 0;
+  {
+    const util::AllocGuard guard;
+    for (int i = 0; i < 312; ++i) sink ^= lazy();
+    EXPECT_TRUE(guard.expect_zero()) << guard.delta() << " allocations in the first 312 draws";
+  }
+  {
+    const util::AllocGuard guard;
+    sink ^= lazy();
+    EXPECT_EQ(guard.delta(), 1) << "draw 313 must materialize the engine once";
+  }
+  {
+    const util::AllocGuard guard;
+    for (int i = 0; i < 1000; ++i) sink ^= lazy();
+    EXPECT_TRUE(guard.expect_zero()) << guard.delta() << " allocations after materializing";
+  }
+  EXPECT_NE(sink, 0u);
+}
+
+static_assert(sizeof(util::RngStream) <= 64, "an RNG stream must stay compact until it materializes");
+static_assert(!std::is_copy_constructible_v<util::RngStream>, "a copied stream would replay draws");
+static_assert(std::is_nothrow_move_constructible_v<util::RngStream>);
+
+// RngStream's distributions consume the same words in the same order as the
+// std:: distributions driven by std::mt19937_64, so every simulated result
+// is what it was when the stream held a std::mt19937_64.
+TEST(RngStream, DistributionsMatchStdEngine) {
+  for (const std::uint64_t master : {std::uint64_t{0}, std::uint64_t{7}, ~std::uint64_t{0}}) {
+    util::RngStream stream(master, "client.12");
+    util::RngStream by_id(master, std::uint64_t{12});
+    std::mt19937_64 ref(util::stream_seed(master, util::fnv1a("client.12")));
+    std::mt19937_64 ref_id(util::stream_seed(master, 12));
+    for (int i = 0; i < 1500; ++i) {
+      switch (i % 5) {
+        case 0:
+          ASSERT_EQ(stream.uniform(), std::uniform_real_distribution<double>(0.0, 1.0)(ref)) << i;
+          break;
+        case 1:
+          ASSERT_EQ(stream.uniform(-2.5, 9.0),
+                    std::uniform_real_distribution<double>(-2.5, 9.0)(ref))
+              << i;
+          break;
+        case 2:
+          ASSERT_EQ(stream.uniform_int(-3, 1'000'003),
+                    std::uniform_int_distribution<std::int64_t>(-3, 1'000'003)(ref))
+              << i;
+          break;
+        case 3:
+          ASSERT_EQ(stream.exponential(2.0), std::exponential_distribution<double>(2.0)(ref)) << i;
+          break;
+        default:
+          ASSERT_EQ(stream.chance(0.3), std::uniform_real_distribution<double>(0.0, 1.0)(ref) < 0.3)
+              << i;
+      }
+      ASSERT_EQ(by_id.uniform_int(0, 5), std::uniform_int_distribution<std::int64_t>(0, 5)(ref_id))
+          << i;
+    }
+  }
 }
 
 TEST(Fnv1a, StableKnownValues) {
