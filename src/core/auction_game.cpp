@@ -110,11 +110,8 @@ AuctionGameSpec load_auction_game_file(const std::string& path) {
     spec_error(path, "auction_game spec needs a string \"stream\" (RNG label)");
   }
   spec.stream = stream->as_string();
-  spec.ticks_quick = static_cast<int>(number_field(path, doc, "ticks_quick"));
-  spec.ticks_full = static_cast<int>(number_field(path, doc, "ticks_full"));
-  if (spec.ticks_quick <= 0 || spec.ticks_full <= 0) {
-    spec_error(path, "tick counts must be positive");
-  }
+  spec.ticks = static_cast<int>(number_field(path, doc, "ticks"));
+  if (spec.ticks <= 0) spec_error(path, "\"ticks\" must be positive");
 
   const util::json::Value* grid = doc.find("grid");
   if (grid == nullptr || !grid->is_object()) {

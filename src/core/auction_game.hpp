@@ -5,9 +5,9 @@
 // delivers an eps fraction of the thinner's inbound bandwidth; an adversary
 // spends the remaining (1-eps) fraction across any number of sub-bidders
 // with any timing. Theorem 3.1 says the victim still wins at least
-// eps/(2-eps) of the auctions. bench/abl5_theorem31_bound.cpp sweeps the
-// grid in scenarios/abl5.json over the registered adversary strategies and
-// prints the measured fraction next to the theoretical bounds.
+// eps/(2-eps) of the auctions. tests/theory_test.cpp plays every cell of
+// the grid in scenarios/abl5.json over the registered adversary strategies
+// and checks the measured fraction against the §3.4 jitter bound.
 //
 // Adversary strategies are C++ functions; the JSON grid refers to them BY
 // NAME (`speakup validate` rejects names missing from the registry). Keep
@@ -43,8 +43,7 @@ struct AuctionGameSpec {
   std::string description;
   std::uint64_t seed = 0;
   std::string stream;      // RngStream label
-  int ticks_quick = 0;     // default-mode auction count
-  int ticks_full = 0;      // SPEAKUP_FULL=1 auction count
+  int ticks = 0;           // auctions played per grid cell
   std::vector<double> eps;
   std::vector<double> delta;            // service-interval jitter half-widths
   std::vector<std::string> adversaries; // registry names, swept in order

@@ -98,16 +98,8 @@ void Experiment::build() {
   }
 
   // Front end: whatever defense the scenario names, via the registry.
-  core::FrontEndConfig fc;
+  core::FrontEndConfig fc = cfg_.front_end;
   fc.capacity_rps = cfg_.capacity_rps;
-  fc.response_body = cfg_.response_body;
-  fc.payment_window = cfg_.payment_window;
-  fc.quantum = cfg_.quantum;
-  fc.suspension_limit = cfg_.suspension_limit;
-  fc.elastic_max_scale = cfg_.elastic_max_scale;
-  fc.elastic_interval = cfg_.elastic_interval;
-  fc.elastic_threshold = cfg_.elastic_threshold;
-  fc.puzzle_cost = cfg_.puzzle_cost;
   front_end_ = core::FrontEndFactory::instance().create(
       cfg_.defense, *thinner_host_, fc, util::RngStream(cfg_.seed, "server"));
 }
@@ -306,6 +298,55 @@ std::int64_t ExperimentResult::attacker_bytes() const {
              (g.totals.started + g.totals.retries_sent);
   }
   return bytes;
+}
+
+std::vector<NamedMetric> named_metrics(const ExperimentResult& r) {
+  const auto d = [](std::int64_t v) { return static_cast<double>(v); };
+  const core::ThinnerStats& t = r.thinner;
+  std::vector<NamedMetric> out = {
+      {"served_total", d(r.served_total)},
+      {"served_good", d(r.served_good)},
+      {"served_bad", d(r.served_bad)},
+      {"allocation_good", r.allocation_good},
+      {"allocation_bad", r.allocation_bad},
+      {"server_time_good", r.server_time_good},
+      {"server_time_bad", r.server_time_bad},
+      {"fraction_good_served", r.fraction_good_served},
+      {"server_busy_fraction", r.server_busy_fraction},
+      {"events_executed", static_cast<double>(r.events_executed)},
+      {"attacker_bytes", d(r.attacker_bytes())},
+      {"served_good_rps",
+       r.sim_duration > Duration::zero() ? d(r.served_good) / r.sim_duration.sec() : 0.0},
+      {"price_good_bytes", t.price_good.mean()},
+      {"price_bad_bytes", t.price_bad.mean()},
+      {"payment_time_good_mean_s", t.payment_time_good.mean()},
+      {"payment_time_good_p90_s", t.payment_time_good.percentile(0.9)},
+      {"retries_good_mean", t.retries_good.mean()},
+      {"retries_bad_mean", t.retries_bad.mean()},
+      {"suspensions", d(t.counters.get("suspensions"))},
+      {"collateral_latency_mean_s", r.collateral_latencies.mean()},
+      {"collateral_latency_sd_s", r.collateral_latencies.stddev()},
+  };
+  for (const GroupResult& g : r.groups) {
+    out.push_back({"group." + g.label + ".allocation", g.allocation});
+    out.push_back({"group." + g.label + ".fraction_served", g.totals.fraction_served()});
+  }
+  return out;
+}
+
+std::optional<double> named_metric(const ExperimentResult& r, std::string_view name) {
+  for (const NamedMetric& m : named_metrics(r)) {
+    if (m.name == name) return m.value;
+  }
+  return std::nullopt;
+}
+
+std::vector<std::string> metric_names(const ScenarioConfig& cfg) {
+  ExperimentResult shape;
+  for (const ClientGroupSpec& g : cfg.groups) shape.groups.emplace_back().label = g.label;
+  std::vector<std::string> names;
+  for (NamedMetric& m : named_metrics(shape)) names.push_back(std::move(m.name));
+  return names;
 }
 
 ExperimentResult run_scenario(const ScenarioConfig& cfg) {

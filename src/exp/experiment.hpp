@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "client/client_pool.hpp"
@@ -86,6 +87,28 @@ struct ExperimentResult {
   /// thread (or process) ran them. wall_seconds is excluded.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
+
+/// One named number of a result. Scenario-file claims read these, and so
+/// does the `metrics` block of `speakup run --json`.
+struct NamedMetric {
+  std::string name;
+  double value = 0.0;
+};
+
+/// Every named metric of `r`, in a fixed order: the 11 CSV metric columns;
+/// served_good_rps; the thinner's price_{good,bad}_bytes,
+/// payment_time_good_{mean,p90}_s, retries_{good,bad}_mean and
+/// suspensions; the §7.7 bystander's collateral_latency_{mean,sd}_s; and
+/// group.<label>.{allocation,fraction_served} for every group.
+[[nodiscard]] std::vector<NamedMetric> named_metrics(const ExperimentResult& r);
+
+/// The named metric `name` of `r`, or nullopt when `r` has none by that
+/// name.
+[[nodiscard]] std::optional<double> named_metric(const ExperimentResult& r,
+                                                 std::string_view name);
+
+/// The names named_metrics() reports for a run of `cfg`, in its order.
+[[nodiscard]] std::vector<std::string> metric_names(const ScenarioConfig& cfg);
 
 class Experiment {
  public:

@@ -119,17 +119,7 @@ void ResultWriter::write_json(std::ostream& os) const {
     }
     const ExperimentResult& r = o.result;
     json::Value metrics;
-    metrics.set("served_total", static_cast<double>(r.served_total));
-    metrics.set("served_good", static_cast<double>(r.served_good));
-    metrics.set("served_bad", static_cast<double>(r.served_bad));
-    metrics.set("allocation_good", r.allocation_good);
-    metrics.set("allocation_bad", r.allocation_bad);
-    metrics.set("server_time_good", r.server_time_good);
-    metrics.set("server_time_bad", r.server_time_bad);
-    metrics.set("fraction_good_served", r.fraction_good_served);
-    metrics.set("server_busy_fraction", r.server_busy_fraction);
-    metrics.set("events_executed", static_cast<double>(r.events_executed));
-    metrics.set("attacker_bytes", static_cast<double>(r.attacker_bytes()));
+    for (const NamedMetric& m : named_metrics(r)) metrics.set(m.name, m.value);
     entry.set("metrics", std::move(metrics));
     json::Value groups{json::Value::Array{}};
     for (const GroupResult& g : r.groups) {

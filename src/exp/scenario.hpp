@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "client/workload_client.hpp"
+#include "core/front_end.hpp"
 #include "util/units.hpp"
 
 namespace speakup::exp {
@@ -72,17 +73,10 @@ struct ScenarioConfig {
   std::optional<CollateralSpec> collateral;
   std::optional<ProxySpec> proxy;
 
-  // Thinner knobs.
-  Duration payment_window = Duration::seconds(10.0);
-  Duration quantum = Duration::zero();  // 0 -> 1/c (quantum defense only)
-  Duration suspension_limit = Duration::seconds(30.0);
-  Bytes response_body = 1000;
-  // "elastic" defense knobs (core/no_defense.hpp).
-  double elastic_max_scale = 4.0;
-  Duration elastic_interval = Duration::seconds(5.0);
-  double elastic_threshold = 0.9;
-  // "puzzle" defense knob (core/puzzle_front_end.hpp).
-  Duration puzzle_cost = Duration::seconds(2.0);
+  /// The defense's knobs (payment window, quantum, elastic and puzzle
+  /// settings, ...). Its capacity_rps is ignored: Experiment::build takes
+  /// the capacity from `capacity_rps` above, which grids sweep.
+  core::FrontEndConfig front_end;
 
   // The thinner's access link: condition C1 requires it uncongested.
   Bandwidth thinner_bw = Bandwidth::gbps(10.0);

@@ -1,5 +1,6 @@
 #include "exp/scenario_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -388,25 +389,25 @@ ScenarioConfig config_from_json(const json::Value& v, const std::string& ctx) {
     } else if (key == "seed") {
       cfg.seed = static_cast<std::uint64_t>(nonneg_int(val, kctx));
     } else if (key == "payment_window_s") {
-      cfg.payment_window = Duration::seconds(positive_num(val, kctx));
+      cfg.front_end.payment_window = Duration::seconds(positive_num(val, kctx));
     } else if (key == "quantum_s") {
-      cfg.quantum = Duration::seconds(nonneg_num(val, kctx));
+      cfg.front_end.quantum = Duration::seconds(nonneg_num(val, kctx));
     } else if (key == "suspension_limit_s") {
-      cfg.suspension_limit = Duration::seconds(positive_num(val, kctx));
+      cfg.front_end.suspension_limit = Duration::seconds(positive_num(val, kctx));
     } else if (key == "response_body_bytes") {
-      cfg.response_body = positive_int(val, kctx);
+      cfg.front_end.response_body = positive_int(val, kctx);
     } else if (key == "elastic_max_scale") {
-      cfg.elastic_max_scale = num_of(val, kctx);
-      if (cfg.elastic_max_scale < 1.0) fail(kctx, "must be >= 1");
+      cfg.front_end.elastic_max_scale = num_of(val, kctx);
+      if (cfg.front_end.elastic_max_scale < 1.0) fail(kctx, "must be >= 1");
     } else if (key == "elastic_interval_s") {
-      cfg.elastic_interval = Duration::seconds(positive_num(val, kctx));
+      cfg.front_end.elastic_interval = Duration::seconds(positive_num(val, kctx));
     } else if (key == "elastic_threshold") {
-      cfg.elastic_threshold = num_of(val, kctx);
-      if (cfg.elastic_threshold <= 0.0 || cfg.elastic_threshold > 1.0) {
+      cfg.front_end.elastic_threshold = num_of(val, kctx);
+      if (cfg.front_end.elastic_threshold <= 0.0 || cfg.front_end.elastic_threshold > 1.0) {
         fail(kctx, "must be in (0, 1]");
       }
     } else if (key == "puzzle_cost_s") {
-      cfg.puzzle_cost = Duration::seconds(positive_num(val, kctx));
+      cfg.front_end.puzzle_cost = Duration::seconds(positive_num(val, kctx));
     } else if (key == "thinner") {
       link_spec_from_json(val, kctx, "bw_mbps", cfg.thinner_bw, cfg.thinner_delay,
                           cfg.thinner_queue);
@@ -494,6 +495,72 @@ std::vector<GridAxis> grid_axes(const json::Value& grid, const std::string& ctx)
   return axes;
 }
 
+/// A [lo, hi] pair of finite numbers with lo <= hi.
+void band_from_json(const json::Value& v, const std::string& ctx, double& lo, double& hi) {
+  const json::Value::Array& arr = arr_of(v, ctx);
+  if (arr.size() != 2) fail(ctx, "must be [lo, hi]");
+  lo = num_of(arr[0], ctx + "[0]");
+  hi = num_of(arr[1], ctx + "[1]");
+  if (!std::isfinite(lo) || !std::isfinite(hi)) fail(ctx, "bounds must be finite");
+  if (lo > hi) {
+    fail(ctx, "lo " + json::number_to_string(lo) + " exceeds hi " + json::number_to_string(hi));
+  }
+}
+
+/// The top-level "claims" array, checked against the expanded rows: each
+/// claim must match a row, and its metric and reference must exist there.
+std::vector<Claim> claims_from_json(const json::Value& v,
+                                    const std::vector<LabeledScenario>& rows) {
+  std::vector<Claim> claims;
+  const json::Value::Array& entries = arr_of(v, "claims");
+  for (std::size_t ci = 0; ci < entries.size(); ++ci) {
+    const std::string ctx = "claims[" + std::to_string(ci) + "]";
+    Claim c;
+    bool have_band = false, have_ratio = false;
+    for (const auto& [key, val] : obj_of(entries[ci], ctx)) {
+      const std::string kctx = ctx + "." + key;
+      if (key == "paper") {
+        c.paper = str_of(val, kctx);
+      } else if (key == "rows") {
+        c.rows = str_of(val, kctx);
+      } else if (key == "metric") {
+        c.metric = str_of(val, kctx);
+      } else if (key == "over") {
+        if (!val.is_string()) {
+          fail(kctx, std::string("names one reference — a theory function, "
+                                 "\"row:<pattern>\" or \"metric:<name>\" — as a "
+                                 "string, got ") + json::type_name(val.type()));
+        }
+        c.over = val.as_string();
+        if (c.over.empty() || c.over == "row:" || c.over == "metric:") {
+          fail(kctx, "names no reference");
+        }
+      } else if (key == "band") {
+        band_from_json(val, kctx, c.lo, c.hi);
+        have_band = true;
+      } else if (key == "ratio") {
+        band_from_json(val, kctx, c.lo, c.hi);
+        have_ratio = true;
+      } else {
+        fail(ctx, "unknown key \"" + key + "\"");
+      }
+    }
+    if (c.paper.empty()) fail(ctx, "needs a non-empty \"paper\" sentence");
+    if (c.rows.empty()) fail(ctx, "needs \"rows\" (a label or a '*' glob)");
+    if (c.metric.empty()) fail(ctx, "needs a \"metric\"");
+    if (have_band && (have_ratio || !c.over.empty())) {
+      fail(ctx, "give either \"band\" or \"over\" plus \"ratio\", not both");
+    }
+    if (!have_band && !have_ratio) {
+      fail(ctx, "needs a \"band\", or \"over\" plus \"ratio\"");
+    }
+    if (have_ratio && c.over.empty()) fail(ctx + ".ratio", "needs an \"over\" reference");
+    validate_claim(c, rows, ctx);
+    claims.push_back(std::move(c));
+  }
+  return claims;
+}
+
 }  // namespace
 
 std::string resolve_strategy_name(std::string_view name) {
@@ -524,6 +591,7 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
   ScenarioFile out;
   json::Value defaults{json::Value::Object{}};
   const json::Value* scenarios = nullptr;
+  const json::Value* claims = nullptr;
   for (const auto& [key, val] : doc.as_object()) {
     if (key == "description") {
       out.description = str_of(val, "description");
@@ -538,6 +606,8 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
       defaults = val;
     } else if (key == "scenarios") {
       scenarios = &val;
+    } else if (key == "claims") {
+      claims = &val;
     } else {
       fail("top level", "unknown key \"" + key + "\"");
     }
@@ -637,6 +707,7 @@ ScenarioFile parse_scenario_file(std::string_view json_text) {
       }
     }
   }
+  if (claims != nullptr) out.claims = claims_from_json(*claims, out.scenarios);
   return out;
 }
 

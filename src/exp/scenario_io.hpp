@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "exp/claims.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 
@@ -46,6 +47,9 @@ struct LabeledScenario {
 struct ScenarioFile {
   std::string description;
   std::vector<LabeledScenario> scenarios;
+  /// The paper's claims about these rows (exp/claims.hpp); every claim
+  /// matches at least one row and names known metrics and references.
+  std::vector<Claim> claims;
 
   /// The round-robin slice owned by shard `index` of `count` (scenario i
   /// goes to shard i % count). Indices/labels keep their global values.

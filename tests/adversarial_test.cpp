@@ -29,7 +29,7 @@ exp::ScenarioConfig overload_lan(const std::string& defense,
   exp::ScenarioConfig cfg = exp::lan_scenario(/*good=*/5, /*bad=*/5, /*capacity_rps=*/6.0,
                                               defense, /*seed=*/42);
   cfg.duration = Duration::seconds(6.0);
-  cfg.elastic_interval = Duration::seconds(1.0);
+  cfg.front_end.elastic_interval = Duration::seconds(1.0);
   cfg.groups[0].workload.request_timeout = Duration::seconds(2.0);
   cfg.groups[1].workload.strategy = bad_strategy;
   cfg.groups[1].workload.strategy_knobs = std::move(knobs);
@@ -50,7 +50,7 @@ TEST(AdversarialDifferential, ElasticAtUnitScaleIsRowIdenticalToNone) {
   const exp::ExperimentResult none = exp::run_scenario(overload_lan("none", "poisson"));
 
   exp::ScenarioConfig cfg = overload_lan("elastic", "poisson");
-  cfg.elastic_max_scale = 1.0;
+  cfg.front_end.elastic_max_scale = 1.0;
   exp::ExperimentResult elastic = exp::run_scenario(cfg);
 
   EXPECT_EQ(elastic.events_executed, none.events_executed);
@@ -108,17 +108,17 @@ TEST(AdversarialBehavior, ElasticScalesUpUnderOverloadAndServesMoreThanNone) {
 
 TEST(AdversarialBehavior, ElasticRejectsNonsenseKnobs) {
   exp::ScenarioConfig shrink = overload_lan("elastic", "poisson");
-  shrink.elastic_max_scale = 0.5;  // a "scale-up" below 1x is a config bug
+  shrink.front_end.elastic_max_scale = 0.5;  // a "scale-up" below 1x is a config bug
   EXPECT_THROW((void)exp::run_scenario(shrink), std::invalid_argument);
 
   exp::ScenarioConfig hair_trigger = overload_lan("elastic", "poisson");
-  hair_trigger.elastic_threshold = 0.0;  // would scale on a fully idle server
+  hair_trigger.front_end.elastic_threshold = 0.0;  // would scale on a fully idle server
   EXPECT_THROW((void)exp::run_scenario(hair_trigger), std::invalid_argument);
 }
 
 TEST(AdversarialBehavior, PuzzleFrontEndSolvesPuzzlesAndStaysDeterministic) {
   exp::ScenarioConfig cfg = overload_lan("puzzle", "poisson");
-  cfg.puzzle_cost = Duration::seconds(0.5);
+  cfg.front_end.puzzle_cost = Duration::seconds(0.5);
   const exp::ExperimentResult a = exp::run_scenario(cfg);
   EXPECT_GT(a.served_total, 0);
   EXPECT_GT(a.thinner.counters.get("puzzle_solved"), 0);
@@ -133,9 +133,9 @@ TEST(AdversarialBehavior, PuzzleFrontEndSolvesPuzzlesAndStaysDeterministic) {
 // the total served.
 TEST(AdversarialBehavior, RaisingPuzzleCostDoesNotServeMore) {
   exp::ScenarioConfig cheap = overload_lan("puzzle", "poisson");
-  cheap.puzzle_cost = Duration::seconds(0.1);
+  cheap.front_end.puzzle_cost = Duration::seconds(0.1);
   exp::ScenarioConfig dear = overload_lan("puzzle", "poisson");
-  dear.puzzle_cost = Duration::seconds(3.0);
+  dear.front_end.puzzle_cost = Duration::seconds(3.0);
   const exp::ExperimentResult a = exp::run_scenario(cheap);
   const exp::ExperimentResult b = exp::run_scenario(dear);
   EXPECT_GE(a.served_total, b.served_total);

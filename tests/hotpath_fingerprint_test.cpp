@@ -1,5 +1,6 @@
 // Pins the ExperimentResult fingerprint of every row of every run-kind
-// scenario file to scenarios/fingerprints.tsv.
+// scenario file to scenarios/fingerprints.tsv, and checks each file's
+// paper claims (exp/claims.hpp) on the same results.
 //
 // The refactor contract is behavior-invisibility: rewriting the event
 // representation, the timer store, the TCP out-of-order tracker, the Link
@@ -28,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/claims.hpp"
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
@@ -79,12 +81,6 @@ std::vector<std::string> pinned_files() {
 
 std::string stem(const std::string& file) { return file.substr(0, file.rfind('.')); }
 
-struct Row {
-  std::string label;
-  std::string fingerprint;  // hex, or "error: ..." when the row threw
-  std::uint64_t events = 0;
-};
-
 class PinnedScenarioFile : public ::testing::TestWithParam<std::string> {
  protected:
   /// Runs the rows of every file this process will test, all on one Runner.
@@ -98,39 +94,44 @@ class PinnedScenarioFile : public ::testing::TestWithParam<std::string> {
       if (t->should_run()) selected.insert(name.substr(name.rfind('/') + 1));
     }
     Runner runner;
-    std::vector<std::pair<std::string, std::string>> keys;  // (file, label) per job
+    std::vector<std::string> files;  // the file of each job
     for (const std::string& file : pinned_files()) {
       if (selected.count(stem(file)) == 0) continue;
       for (const LabeledScenario& s : load_scenario_file(kScenarioDir + "/" + file).scenarios) {
-        runner.add(s.config, file + ":" + s.label);
-        keys.emplace_back(file, s.label);
+        runner.add(s.config, file + ":" + s.label);  // Runner labels are unique
+        files.push_back(file);
       }
     }
     const std::vector<RunOutcome>& outcomes = runner.run_all();
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const RunOutcome& o = outcomes[i];
-      rows_[keys[i].first].push_back(
-          Row{keys[i].second, o.ok() ? hex(o.result.fingerprint()) : "error: " + o.error,
-              o.result.events_executed});
+      outcomes_[files[i]].push_back(outcomes[i]);
     }
   }
 
-  static inline std::map<std::string, std::vector<Row>> rows_;  // file -> rows in order
+  static inline std::map<std::string, std::vector<RunOutcome>> outcomes_;  // file -> rows
 };
 
+// Each file's rows must match their pins, and then the paper claims the
+// file states (its "claims" array) must hold on those same results.
 TEST_P(PinnedScenarioFile, Matches) {
   const std::string& file = GetParam();
   std::vector<Pin> pins;
   for (Pin& p : load_pins()) {
     if (p.file == file) pins.push_back(std::move(p));
   }
-  const std::vector<Row>& rows = rows_[file];
+  const std::vector<RunOutcome>& rows = outcomes_[file];
   ASSERT_EQ(rows.size(), pins.size()) << file << ": row count changed; re-check pins";
   for (std::size_t i = 0; i < pins.size(); ++i) {
-    ASSERT_EQ(rows[i].label, pins[i].label) << file << ": scenario order changed; re-check pins";
-    EXPECT_EQ(rows[i].fingerprint, pins[i].fingerprint)
+    const RunOutcome& o = rows[i];
+    ASSERT_EQ(o.label, file + ":" + pins[i].label)
+        << file << ": scenario order changed; re-check pins";
+    EXPECT_EQ(o.ok() ? hex(o.result.fingerprint()) : "error: " + o.error, pins[i].fingerprint)
         << "behavior drift in " << file << " '" << pins[i].label
-        << "' (events_executed=" << rows[i].events << ")";
+        << "' (events_executed=" << o.result.events_executed << ")";
+  }
+  const ScenarioFile parsed = load_scenario_file(kScenarioDir + "/" + file);
+  for (const std::string& failure : check_claims(file, parsed, rows).failures) {
+    ADD_FAILURE() << failure;
   }
 }
 

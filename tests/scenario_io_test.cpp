@@ -4,10 +4,13 @@
 // and malformed-input errors that name the offending key.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "exp/claims.hpp"
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_io.hpp"
@@ -165,9 +168,9 @@ TEST(ScenarioIo, GroupAndLinkKnobsParse) {
   ASSERT_EQ(f.scenarios.size(), 1u);
   const exp::ScenarioConfig& c = f.scenarios[0].config;
   EXPECT_EQ(c.defense, "quantum");
-  EXPECT_EQ(c.quantum, Duration::seconds(0.02));
-  EXPECT_EQ(c.payment_window, Duration::seconds(5.0));
-  EXPECT_EQ(c.response_body, 500);
+  EXPECT_EQ(c.front_end.quantum, Duration::seconds(0.02));
+  EXPECT_EQ(c.front_end.payment_window, Duration::seconds(5.0));
+  EXPECT_EQ(c.front_end.response_body, 500);
   EXPECT_EQ(c.thinner_bw, Bandwidth::mbps(1000));
   EXPECT_EQ(c.thinner_delay, Duration::micros(200));
   ASSERT_TRUE(c.bottleneck.has_value());
@@ -332,8 +335,170 @@ TEST(ScenarioIoErrors, JsonSyntaxErrorsCarryLineInfo) {
 }
 
 // ---------------------------------------------------------------------------
+// Claims: the paper's statements about a file's rows (exp/claims.hpp).
+// ---------------------------------------------------------------------------
+
+/// A two-row file ("auction/c20", "none/c20") whose claims array is two
+/// valid claims followed by `third`, so every error must name claims[2].
+std::string file_with_claim(const std::string& third) {
+  return R"({"defaults": {"capacity_rps": 20, "duration_s": 2, "lan": {"good": 1, "bad": 1}},
+    "scenarios": [{"label": "{defense}/c{capacity_rps}", "grid": {"defense": ["auction", "none"]}}],
+    "claims": [
+      {"paper": "p0", "rows": "*", "metric": "allocation_good", "band": [0, 1]},
+      {"paper": "p1", "rows": "auction/*", "metric": "allocation_good",
+       "over": "row:none/*", "ratio": [0, 100]},
+      )" + third + "]}";
+}
+
+TEST(ScenarioIo, ClaimsParseAllThreeReferenceKinds) {
+  const ScenarioFile f = parse_scenario_file(file_with_claim(
+      R"({"paper": "p2", "rows": "auction/c20", "metric": "group.good.allocation",
+          "over": "metric:group.bad.allocation", "ratio": [0.5, 2]},
+         {"paper": "p3", "rows": "*", "metric": "price_good_bytes",
+          "over": "average_price_bytes", "ratio": [0, 1.5]})"));
+  ASSERT_EQ(f.claims.size(), 4u);
+  EXPECT_EQ(f.claims[0].over, "");
+  EXPECT_EQ(f.claims[1].over, "row:none/*");
+  EXPECT_EQ(f.claims[2].metric, "group.good.allocation");
+  EXPECT_DOUBLE_EQ(f.claims[2].lo, 0.5);
+  EXPECT_DOUBLE_EQ(f.claims[2].hi, 2.0);
+  EXPECT_EQ(f.claims[3].paper, "p3");
+}
+
+TEST(ScenarioIo, GlobMatchBindsEachStar) {
+  std::vector<std::string> caps;
+  EXPECT_TRUE(exp::glob_match("auction/*", "auction/g25", &caps));
+  EXPECT_EQ(caps, std::vector<std::string>{"g25"});
+  caps.clear();
+  EXPECT_TRUE(exp::glob_match("*/c*0", "on/c100", &caps));
+  EXPECT_EQ(caps, (std::vector<std::string>{"on", "10"}));
+  EXPECT_TRUE(exp::glob_match("*", "", nullptr));
+  EXPECT_TRUE(exp::glob_match("row4/on", "row4/on", nullptr));
+  EXPECT_FALSE(exp::glob_match("row4/on", "row4/off", nullptr));
+  EXPECT_FALSE(exp::glob_match("c1*0", "c105", nullptr));
+  // Many stars stay linear: no backtracking blow-up on hostile patterns.
+  EXPECT_FALSE(exp::glob_match(std::string(200, '*') + "x", std::string(200, 'a'), nullptr));
+}
+
+TEST(ScenarioIoErrors, ClaimNamesUnknownMetricTheoryOrKey) {
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "alocation_good", "band": [0, 1]})"),
+                     "claims[2].metric: unknown metric \"alocation_good\"");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "group.ugly.allocation", "band": [0, 1]})"),
+                     "claims[2].metric: unknown metric \"group.ugly.allocation\"");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "over": "ideal_allocation", "ratio": [0, 1]})"),
+                     "claims[2].over: unknown theory function \"ideal_allocation\"");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "over": "metric:alloc", "ratio": [0, 1]})"),
+                     "claims[2].over: unknown metric \"alloc\"");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "bands": [0, 1]})"),
+                     "claims[2]: unknown key \"bands\"");
+  expect_parse_error(file_with_claim(R"({"rows": "*", "metric": "allocation_good",
+      "band": [0, 1]})"),
+                     "claims[2]: needs a non-empty \"paper\"");
+}
+
+TEST(ScenarioIoErrors, ClaimRowPatternsMustMatch) {
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "quantum/*",
+      "metric": "allocation_good", "band": [0, 1]})"),
+                     "claims[2].rows: \"quantum/*\" matches no scenario row");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "auction/*",
+      "metric": "allocation_good", "over": "row:retry/*", "ratio": [0, 1]})"),
+                     "claims[2].over: \"row:retry/*\" names no row for 'auction/c20' "
+                     "(no row 'retry/c20')");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "auction/c20",
+      "metric": "allocation_good", "over": "row:none/*", "ratio": [0, 1]})"),
+                     "claims[2].over: \"row:none/*\" names no row for 'auction/c20' "
+                     "(more '*' than in \"rows\")");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "over": "row:", "ratio": [0, 1]})"),
+                     "claims[2].over: names no reference");
+}
+
+TEST(ScenarioIoErrors, ClaimBandsMustBeOrderedFiniteNumberPairs) {
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "band": [1, 0]})"),
+                     "claims[2].band: lo 1 exceeds hi 0");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "band": [0]})"),
+                     "claims[2].band: must be [lo, hi]");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "over": "ideal_good_allocation", "ratio": [0, 1, 2]})"),
+                     "claims[2].ratio: must be [lo, hi]");
+  // JSON has no NaN or infinity: the document parser rejects both, at the
+  // line of the bound, before the claim is read.
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "band": [0, 1e999]})"),
+                     "number out of range \"1e999\"");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "band": [NaN, 1]})"),
+                     "line 8");
+}
+
+TEST(ScenarioIoErrors, ClaimFieldsHaveTheirJsonTypes) {
+  expect_parse_error(R"({"scenarios": [{}], "claims": {}})", "claims: expected array");
+  expect_parse_error(file_with_claim(R"("all good")"), "claims[2]: expected object");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*", "metric": 5,
+      "band": [0, 1]})"),
+                     "claims[2].metric: expected string");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": ["*"],
+      "metric": "allocation_good", "band": [0, 1]})"),
+                     "claims[2].rows: expected string");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "band": "0..1"})"),
+                     "claims[2].band: expected array");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "band": ["low", 1]})"),
+                     "claims[2].band[0]: expected number");
+}
+
+TEST(ScenarioIoErrors, ClaimNamesExactlyOneReference) {
+  // An over that is both a theory and a row is not one reference.
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "auction/*",
+      "metric": "allocation_good",
+      "over": ["ideal_good_allocation", "row:none/*"], "ratio": [0, 1]})"),
+                     "claims[2].over: names one reference");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "band": [0, 1],
+      "over": "ideal_good_allocation", "ratio": [0, 1]})"),
+                     "claims[2]: give either \"band\" or \"over\" plus \"ratio\", not both");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "ratio": [0, 1]})"),
+                     "claims[2].ratio: needs an \"over\" reference");
+  expect_parse_error(file_with_claim(R"({"paper": "p", "rows": "*",
+      "metric": "allocation_good", "over": "ideal_good_allocation"})"),
+                     "claims[2]: needs a \"band\", or \"over\" plus \"ratio\"");
+}
+
+// The evaluator on real results: a claim that cannot hold fails, and its
+// line names the file, the claim, the row, the measured value and the band.
+TEST(ScenarioIo, FailingClaimNamesRowValueAndBand) {
+  const ScenarioFile f = parse_scenario_file(file_with_claim(
+      R"({"paper": "impossible", "rows": "none/*", "metric": "allocation_good",
+          "band": [2, 3]})"));
+  exp::Runner runner;
+  f.queue_on(runner);
+  const std::vector<exp::RunOutcome>& outcomes = runner.run_all(1);
+  const exp::ClaimReport report = exp::check_claims("tiny.json", f, outcomes);
+  ASSERT_EQ(report.summary.size(), 3u);
+  EXPECT_EQ(report.summary[0].rfind("PASS claims[0] p0", 0), 0u) << report.summary[0];
+  EXPECT_EQ(report.summary[1].rfind("PASS claims[1] p1", 0), 0u) << report.summary[1];
+  EXPECT_EQ(report.summary[2].rfind("FAIL claims[2] impossible", 0), 0u) << report.summary[2];
+  ASSERT_EQ(report.failures.size(), 1u);
+  const std::string& line = report.failures[0];
+  char value[32];
+  std::snprintf(value, sizeof value, "%.4g", outcomes[1].result.allocation_good);
+  EXPECT_EQ(line, "tiny.json claims[2] \"impossible\": row 'none/c20': allocation_good = " +
+                      std::string(value) + " outside [2, 3]");
+  EXPECT_FALSE(report.ok());
+}
+
+// ---------------------------------------------------------------------------
 // The checked-in scenario files are part of the contract: they must parse
-// and expand to the labels the bench harnesses look up.
+// and expand to the labels their claims name.
 // ---------------------------------------------------------------------------
 
 std::string checked_in(const std::string& name) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/auction_game.hpp"
@@ -81,8 +82,8 @@ TEST(Theory, NoDefenseAllocation) {
 
 /// One auction per tick; bids accumulate; the winner's bid resets to zero
 /// and the adversary wins ties. This is core::run_auction_game (the game
-/// bench/abl5 sweeps) with no service-time jitter, which draws no random
-/// numbers. Returns the fraction of auctions the victim won.
+/// scenarios/abl5.json sweeps) with no service-time jitter, which draws no
+/// random numbers. Returns the fraction of auctions the victim won.
 double play(double eps, const AdversaryFn& adversary) {
   util::RngStream unused(0, "thm31-no-jitter");
   return run_auction_game(eps, /*delta=*/0.0, 20000, unused, adversary);
@@ -153,6 +154,26 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Theorem31Test,
                          [](const ::testing::TestParamInfo<Theorem31Case>& i) {
                            return i.param.name;
                          });
+
+// The checked-in Theorem 3.1 grid (scenarios/abl5.json): every adversary
+// at every eps and delta, one RNG stream across the cells in file order,
+// must leave the victim at least the §3.4 bound (1-2*delta)*eps/2. The
+// tightest cell is reactive-outbidder at eps = 0.5, delta = 0: 0.3333
+// against 0.25.
+TEST(Theorem31Grid, EveryCellOfTheCheckedInGridMeetsTheJitterBound) {
+  const AuctionGameSpec spec =
+      load_auction_game_file(std::string(SPEAKUP_SCENARIO_DIR) + "/abl5.json");
+  util::RngStream rng(spec.seed, spec.stream);
+  for (const double eps : spec.eps) {
+    for (const double delta : spec.delta) {
+      for (const std::string& name : spec.adversaries) {
+        const double won = run_auction_game(eps, delta, spec.ticks, rng, adversary_fn(name));
+        EXPECT_GE(won, theorem31_service_fraction_jitter(eps, delta))
+            << name << " eps=" << eps << " delta=" << delta;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace speakup::core::theory

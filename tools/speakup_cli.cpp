@@ -364,7 +364,27 @@ int cmd_run(const std::vector<std::string>& args) {
     if (!quiet) std::printf("wrote %s\n", trace_path.c_str());
   }
   if (!quiet) runner.summary_table().print(std::cout);
-  return failures == 0 ? 0 : 1;
+  // The paper's claims hold for a file's whole grid, so they are checked
+  // only when this run produced every row.
+  bool claims_ok = true;
+  if (!file.claims.empty() && slice.size() != file.scenarios.size()) {
+    if (!quiet) {
+      std::printf("claims: not evaluated (this run covers %zu of %zu rows)\n", slice.size(),
+                  file.scenarios.size());
+    }
+  } else if (!file.claims.empty()) {
+    const exp::ClaimReport report =
+        exp::check_claims(scenario_path, file, runner.outcomes());
+    if (!quiet) {
+      std::printf("claims:\n");
+      for (const std::string& line : report.summary) std::printf("  %s\n", line.c_str());
+    }
+    for (const std::string& line : report.failures) {
+      std::fprintf(stderr, "claim failed: %s\n", line.c_str());
+    }
+    claims_ok = report.ok();
+  }
+  return failures == 0 && claims_ok ? 0 : 1;
 }
 
 // `speakup tournament spec.json --out DIR`: expand the defense x strategy
@@ -593,8 +613,9 @@ int cmd_validate(const std::vector<std::string>& args) {
       // Not JSON at all: fall through so load_scenario_file reports it.
     }
     // Grid-spec files carry a discriminating "kind" key: auction-game
-    // grids (bench/abl5_theorem31_bound) and capacity-bench grids
-    // (bench/tab1_thinner_capacity) validate through their own loaders.
+    // grids (the Theorem 3.1 sweep in tests/theory_test.cpp) and
+    // capacity-bench grids (bench/tab1_thinner_capacity) validate through
+    // their own loaders.
     if (parsed && doc.is_object() && doc.find("kind") != nullptr) {
       const std::string& kind = doc.find("kind")->as_string();
       if (kind == "auction_game") {
@@ -648,6 +669,7 @@ int cmd_validate(const std::vector<std::string>& args) {
   const exp::ScenarioFile file = exp::load_scenario_file(args[0]);
   std::printf("%s: OK, %zu scenario(s)\n", args[0].c_str(), file.scenarios.size());
   if (!file.description.empty()) std::printf("description: %s\n", file.description.c_str());
+  if (!file.claims.empty()) std::printf("claims: %zu\n", file.claims.size());
   for (const exp::LabeledScenario& s : file.scenarios) {
     std::printf("  [%zu] %s  (defense=%s seed=%llu capacity=%g duration=%gs)\n",
                 s.index, s.label.c_str(), s.config.defense.c_str(),
