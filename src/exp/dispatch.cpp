@@ -338,6 +338,7 @@ DispatchReport Dispatcher::run() {
   file_ = load_scenario_file(opts_.scenario_path);
   const std::size_t total = file_.scenarios.size();
   report_.rows_total = total;
+  report_.claims = file_.claims.size();
 
   slice_count_ = opts_.slices > 0 ? opts_.slices
                                   : 4 * std::max(1, opts_.workers);

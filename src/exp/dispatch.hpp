@@ -45,6 +45,7 @@ struct DispatchReport {
   int workers_spawned = 0;
   int worker_deaths = 0;  // crashes + heartbeat timeouts
   int requeues = 0;
+  std::size_t claims = 0;  // the file's paper claims, which a dispatch never evaluates
   std::vector<std::string> failures;  // permanent slice failures
 };
 

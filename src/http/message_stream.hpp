@@ -7,9 +7,9 @@
 // still counts toward an auction bid — §3.3), the stream reports incremental
 // body progress as well as message completion.
 //
-// A MessageStream attaches itself to its connection's app_handle so the
-// peer endpoint's stream can read the descriptor queue — the simulation
-// shortcut that lets typed messages ride on counted bytes.
+// A MessageStream is its connection's transport::ConnectionHandler: the peer
+// endpoint's stream reads its descriptor queue through peer()->handler(),
+// the simulation shortcut that lets typed messages ride on counted bytes.
 //
 // The descriptor queue is a growable ring (the DropTailQueue pattern)
 // rather than a deque, and a detached stream can be rebound to a fresh
@@ -29,7 +29,7 @@
 
 namespace speakup::http {
 
-class MessageStream {
+class MessageStream final : public transport::ConnectionHandler {
  public:
   struct Callbacks {
     std::function<void(const Message&)> on_message;  // fully delivered
@@ -48,10 +48,7 @@ class MessageStream {
   MessageStream& operator=(const MessageStream&) = delete;
 
   ~MessageStream() {
-    if (conn_ != nullptr) {
-      conn_->app_handle() = static_cast<MessageStream*>(nullptr);
-      conn_->set_callbacks({});
-    }
+    if (conn_ != nullptr) conn_->set_handler(nullptr);
   }
 
   void set_callbacks(Callbacks cbs) { cbs_ = std::move(cbs); }
@@ -78,13 +75,10 @@ class MessageStream {
 
   /// Aborts the underlying connection (RST).
   void abort() {
-    if (conn_ != nullptr) {
-      transport::TcpConnection* c = conn_;
-      conn_ = nullptr;
-      c->app_handle() = static_cast<MessageStream*>(nullptr);
-      c->set_callbacks({});
-      c->abort();
-    }
+    if (conn_ == nullptr) return;
+    conn_->set_handler(nullptr);
+    conn_->abort();
+    conn_ = nullptr;
   }
 
   [[nodiscard]] bool alive() const { return conn_ != nullptr && !conn_->closed(); }
@@ -93,20 +87,19 @@ class MessageStream {
  private:
   void attach(transport::TcpConnection& conn) {
     conn_ = &conn;
-    conn.app_handle() = this;
-    transport::TcpConnection::Callbacks cbs;
-    cbs.on_established = [this] {
-      if (cbs_.on_established) cbs_.on_established();
-    };
-    cbs.on_data = [this](Bytes n) { consume(n); };
-    cbs.on_acked = [this](Bytes total) {
-      if (cbs_.on_acked) cbs_.on_acked(total);
-    };
-    cbs.on_reset = [this] {
-      conn_ = nullptr;
-      if (cbs_.on_reset) cbs_.on_reset();
-    };
-    conn.set_callbacks(std::move(cbs));
+    conn.set_handler(this);
+  }
+
+  // --- transport::ConnectionHandler (on_data is the receiver path below) ---
+  void on_established() override {
+    if (cbs_.on_established) cbs_.on_established();
+  }
+  void on_acked(Bytes total) override {
+    if (cbs_.on_acked) cbs_.on_acked(total);
+  }
+  void on_reset() override {
+    conn_ = nullptr;
+    if (cbs_.on_reset) cbs_.on_reset();
   }
 
   // --- outbox ring (descriptors not yet fully consumed by the peer) -------
@@ -142,7 +135,7 @@ class MessageStream {
 
   /// Receiver path: `n` new in-order bytes arrived. Walk them through the
   /// peer's descriptor queue, firing progress/completion callbacks.
-  void consume(Bytes n) {
+  void on_data(Bytes n) override {
     while (n > 0) {
       MessageStream* peer = peer_stream();
       if (peer == nullptr || peer->outbox_empty()) return;  // raced with teardown
@@ -175,9 +168,8 @@ class MessageStream {
   [[nodiscard]] MessageStream* peer_stream() const {
     if (conn_ == nullptr) return nullptr;
     transport::TcpConnection* p = conn_->peer();
-    if (p == nullptr) return nullptr;
-    auto* handle = std::any_cast<MessageStream*>(&p->app_handle());
-    return handle == nullptr ? nullptr : *handle;
+    // Only a stream handler has a descriptor queue to read.
+    return p == nullptr ? nullptr : dynamic_cast<MessageStream*>(p->handler());
   }
 
   transport::TcpConnection* conn_ = nullptr;

@@ -1,9 +1,10 @@
 // Owns MessageStreams and destroys them safely.
 //
 // A MessageStream must not be torn down while one of its callbacks is on
-// the stack (the callback object lives in the TcpConnection). The pool
-// therefore defers retirement to the next event-loop tick. Both the thinner
-// and the clients use a pool for every stream they create or accept.
+// the stack: a callback that retires it runs inside the stream's own handler
+// call from its TcpConnection. The pool therefore defers retirement to the
+// next event-loop tick. Both the thinner and the clients use a pool for
+// every stream they create or accept.
 //
 // Storage is a chunked slab of in-place streams with stable addresses:
 // adopt() rebinds a parked stream from the free list (keeping its outbox

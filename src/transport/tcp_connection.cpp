@@ -100,7 +100,7 @@ void TcpConnection::on_packet(const net::Packet& p) {
 
 void TcpConnection::establish() {
   state_ = State::kEstablished;
-  if (cbs_.on_established) cbs_.on_established();
+  if (handler_ != nullptr) handler_->on_established();
 }
 
 void TcpConnection::try_send() {
@@ -172,7 +172,7 @@ void TcpConnection::handle_ack(std::int64_t ack) {
       rto_ = std::clamp(have_rtt_ ? srtt_ + 4 * rttvar_ : cfg_.initial_rto, cfg_.min_rto,
                         cfg_.max_rto);
     }
-    if (cbs_.on_acked) cbs_.on_acked(snd_una_);
+    if (handler_ != nullptr) handler_->on_acked(snd_una_);
     try_send();
     return;
   }
@@ -212,7 +212,7 @@ void TcpConnection::handle_data(std::int64_t seq, Bytes len) {
   // stragglers a non-merging tracker left behind).
   rcv_nxt_ = ooo_.pop_prefix(rcv_nxt_);
   send_ack();
-  if (rcv_nxt_ > old_rcv_nxt && cbs_.on_data) cbs_.on_data(rcv_nxt_ - old_rcv_nxt);
+  if (rcv_nxt_ > old_rcv_nxt && handler_ != nullptr) handler_->on_data(rcv_nxt_ - old_rcv_nxt);
 }
 
 void TcpConnection::on_rto() {
@@ -295,7 +295,7 @@ void TcpConnection::teardown(bool notify_app) {
     peer_->peer_ = nullptr;
     peer_ = nullptr;
   }
-  if (notify_app && cbs_.on_reset) cbs_.on_reset();
+  if (notify_app && handler_ != nullptr) handler_->on_reset();
   host_->release(this);
 }
 

@@ -7,15 +7,13 @@
 // and RFC 6298 RTT estimation.
 //
 // Data is modeled as byte counts. Applications call write(n) to append n
-// bytes to the stream; the receiving endpoint's on_data callback reports
-// in-order arrival. peer() exposes the other endpoint — a simulation
+// bytes to the stream; the receiving endpoint's handler hears of in-order
+// arrival through on_data. peer() exposes the other endpoint — a simulation
 // shortcut used by the message layer to pass typed message descriptors
 // alongside the faithfully-simulated bytes.
 #pragma once
 
-#include <any>
 #include <cstdint>
-#include <functional>
 
 #include "net/packet.hpp"
 #include "sim/timer.hpp"
@@ -27,17 +25,23 @@ namespace speakup::transport {
 
 class Host;
 
+/// The application layer's view of one connection (http::MessageStream in
+/// the simulator). A connection holds a plain pointer to its handler, so the
+/// handler must detach itself (set_handler(nullptr)) before it dies.
+class ConnectionHandler {
+ public:
+  virtual void on_established() = 0;
+  virtual void on_data(Bytes newly_delivered) = 0;  // receiver side, in-order bytes
+  virtual void on_acked(Bytes total_acked) = 0;     // sender side, cumulative
+  virtual void on_reset() = 0;                      // peer RST or local failure
+
+ protected:
+  ~ConnectionHandler() = default;
+};
+
 class TcpConnection {
  public:
   enum class State { kSynSent, kSynReceived, kEstablished, kClosed };
-
-  /// Application-facing callbacks. All optional.
-  struct Callbacks {
-    std::function<void()> on_established;
-    std::function<void(Bytes newly_delivered)> on_data;  // receiver side, in-order bytes
-    std::function<void(Bytes total_acked)> on_acked;     // sender side, cumulative
-    std::function<void()> on_reset;                      // peer RST or local failure
-  };
 
   TcpConnection(Host& host, std::uint32_t local_port, net::NodeId remote,
                 std::uint32_t remote_port, const TcpConfig& cfg, bool initiator);
@@ -46,7 +50,9 @@ class TcpConnection {
   TcpConnection& operator=(const TcpConnection&) = delete;
   ~TcpConnection();
 
-  void set_callbacks(Callbacks cbs) { cbs_ = std::move(cbs); }
+  /// The one receiver of this connection's events; nullptr detaches it.
+  void set_handler(ConnectionHandler* h) { handler_ = h; }
+  [[nodiscard]] ConnectionHandler* handler() const { return handler_; }
 
   /// Appends `n` bytes to the outgoing stream.
   void write(Bytes n);
@@ -69,9 +75,6 @@ class TcpConnection {
   /// The opposite endpoint (simulation shortcut); nullptr before the
   /// handshake completes or after the peer closes.
   [[nodiscard]] TcpConnection* peer() const { return peer_; }
-
-  /// Opaque slot for a higher layer (http::MessageStream) to attach itself.
-  [[nodiscard]] std::any& app_handle() { return app_handle_; }
 
   // --- counters / introspection (used by tests and reports) ---
   /// Total bytes the application has submitted via write() — the
@@ -125,8 +128,7 @@ class TcpConnection {
   std::uint32_t remote_port_;
   State state_;
   TcpConnection* peer_ = nullptr;
-  std::any app_handle_;
-  Callbacks cbs_;
+  ConnectionHandler* handler_ = nullptr;
 
   // --- send side ---
   std::int64_t snd_una_ = 0;   // oldest unacked stream offset

@@ -223,6 +223,29 @@ TEST_F(DispatchE2E, MatchesSingleProcessRunByteForByte) {
   // The work directory is removed after a fully successful sweep.
   EXPECT_FALSE(file_exists(out + ".work/journal"));
   EXPECT_NE(r.out.find("\"type\":\"done\",\"ok\":true"), std::string::npos) << r.out;
+  EXPECT_EQ(r.err.find("claims:"), std::string::npos) << r.err;  // smoke has none
+}
+
+TEST_F(DispatchE2E, SaysItLeavesAFilesClaimsUnchecked) {
+  // The merged CSV holds only CSV columns, so a dispatch cannot check the
+  // file's paper claims. It says so on stderr, where the note cannot break
+  // --status json's JSON lines, and keeps its exit status.
+  std::string text = read_file(scenario());
+  const std::size_t close = text.find_last_of('}');
+  ASSERT_NE(close, std::string::npos);
+  text.insert(close, ",\n  \"claims\": [{\"paper\": \"auction serves good requests\", "
+                     "\"rows\": \"smoke/auction\", \"metric\": \"fraction_good_served\", "
+                     "\"band\": [0, 1]}]\n");
+  const std::string file = dir_ + "/claims.json";
+  std::ofstream(file) << text;
+  const CmdResult r = cli("dispatch " + file + " --workers 2 --out " + dir_ +
+                          "/claims.csv --status json");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.err.find("claims: not evaluated (a dispatched sweep merges only CSV columns; "
+                       "run 'speakup run FILE' to check them)\n"),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.out.find("not evaluated"), std::string::npos) << r.out;
 }
 
 TEST_F(DispatchE2E, SurvivesWorkerSigkillMidSlice) {

@@ -2,6 +2,7 @@
 // mid-message, send-after-death, and a randomized framing property test.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "http/message.hpp"
@@ -9,6 +10,7 @@
 #include "http/session_pool.hpp"
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tests/callback_handler.hpp"
 #include "transport/host.hpp"
 #include "util/rng.hpp"
 
@@ -108,6 +110,63 @@ TEST(HttpEdge, SendAfterAbortIsSilentlyDropped) {
   c.send(Message{.type = MessageType::kRequest, .request_id = 1});  // no crash
   w.run_for(0.5);
   EXPECT_FALSE(c.alive());
+}
+
+TEST(HttpEdge, DestroyedStreamDetachesWhileItsPeerKeepsSending) {
+  // A stream destroyed without an abort leaves its connection open with no
+  // handler: the peer keeps sending and the connection keeps receiving, but
+  // nothing calls into the dead stream (an ASan build reports any such call
+  // as a use-after-free).
+  Wire w(net::LinkSpec{Bandwidth::mbps(1.0), Duration::millis(1), 96'000});
+  std::unique_ptr<MessageStream> server;
+  Bytes body_bytes = 0;
+  w.b->listen(80, [&](transport::TcpConnection& c) {
+    server = std::make_unique<MessageStream>(c);
+    MessageStream::Callbacks cbs;
+    cbs.on_body_progress = [&](const Message&, Bytes n) { body_bytes += n; };
+    server->set_callbacks(std::move(cbs));
+  });
+  MessageStream& client = w.pool.adopt(w.a->connect(w.b->id(), 80));
+  client.send(Message{.type = MessageType::kPostData, .request_id = 1, .body = megabytes(1)});
+  w.run_for(1.0);  // ~125 KB delivered of 1 MB
+  ASSERT_NE(server, nullptr);
+  ASSERT_GT(body_bytes, 0);
+  transport::TcpConnection* conn = server->connection();
+  server.reset();
+  EXPECT_EQ(conn->handler(), nullptr);
+  const Bytes delivered = conn->bytes_delivered();
+  const Bytes counted = body_bytes;
+  w.run_for(2.0);
+  EXPECT_GT(conn->bytes_delivered(), delivered);  // the peer kept sending
+  EXPECT_EQ(body_bytes, counted);
+  EXPECT_TRUE(client.alive());
+}
+
+TEST(HttpEdge, BytesFromANonStreamPeerFrameNoMessage) {
+  // A stream reads message descriptors from its peer's handler only when
+  // that handler is a MessageStream: bytes a raw connection writes carry no
+  // descriptors, so they frame nothing.
+  transport::CallbackHandler raw;
+  Wire w;
+  transport::TcpConnection* server = nullptr;
+  w.b->listen(80, [&](transport::TcpConnection& c) {
+    c.set_handler(&raw);
+    server = &c;
+  });
+  int messages = 0;
+  Bytes body_bytes = 0;
+  MessageStream::Callbacks cbs;
+  cbs.on_message = [&](const Message&) { ++messages; };
+  cbs.on_body_progress = [&](const Message&, Bytes n) { body_bytes += n; };
+  MessageStream& client = w.pool.adopt(w.a->connect(w.b->id(), 80));
+  client.set_callbacks(std::move(cbs));
+  w.run_for(0.5);
+  ASSERT_NE(server, nullptr);
+  server->write(kilobytes(10));
+  w.run_for(1.0);
+  EXPECT_EQ(client.connection()->bytes_delivered(), kilobytes(10));
+  EXPECT_EQ(messages, 0);
+  EXPECT_EQ(body_bytes, 0);
 }
 
 TEST(HttpEdge, MetadataFieldsSurviveTransit) {

@@ -17,6 +17,7 @@
 #include "exp/experiment.hpp"
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tests/callback_handler.hpp"
 #include "transport/host.hpp"
 #include "transport/ooo_tracker.hpp"
 #include "util/rng.hpp"
@@ -255,6 +256,7 @@ TEST(RandomizedProperty, OooTrackerSpillsAndRecoversBeyondInlineCapacity) {
 TEST(RandomizedProperty, RandomConnectedTopologiesRouteAllPairs) {
   util::RngStream rng(102, "topo-fuzz");
   for (int trial = 0; trial < 5; ++trial) {
+    transport::CallbackHandler server_handler;
     sim::EventLoop loop;
     net::Network net(loop);
     const int hosts = 4;
@@ -288,14 +290,11 @@ TEST(RandomizedProperty, RandomConnectedTopologiesRouteAllPairs) {
     net.build_routes();
     // Every ordered host pair completes a small transfer.
     int completed = 0;
+    server_handler.data = [&completed](Bytes n) {
+      if (n > 0) ++completed;
+    };
     for (auto* server : hs) {
-      server->listen(80, [&](transport::TcpConnection& c) {
-        transport::TcpConnection::Callbacks cbs;
-        cbs.on_data = [&completed](Bytes n) {
-          if (n > 0) ++completed;
-        };
-        c.set_callbacks(std::move(cbs));
-      });
+      server->listen(80, [&](transport::TcpConnection& c) { c.set_handler(&server_handler); });
     }
     int expected = 0;
     for (auto* a : hs) {

@@ -8,6 +8,7 @@
 #include "exp/experiment.hpp"
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tests/callback_handler.hpp"
 #include "transport/host.hpp"
 
 namespace speakup {
@@ -16,6 +17,7 @@ namespace {
 TEST(Topology, ManyFlowsFillASharedBottleneck) {
   // 8 senders through a 4 Mbit/s bottleneck: aggregate goodput approaches
   // the link rate even though each flow's share is small.
+  transport::CallbackHandler sink_handler;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& sw = net.add_switch("sw");
@@ -32,11 +34,8 @@ TEST(Topology, ManyFlowsFillASharedBottleneck) {
   }
   net.build_routes();
   Bytes delivered = 0;
-  sink.listen(80, [&](transport::TcpConnection& c) {
-    transport::TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink_handler.data = [&](Bytes n) { delivered += n; };
+  sink.listen(80, [&](transport::TcpConnection& c) { c.set_handler(&sink_handler); });
   for (auto* h : senders) h->connect(sink.id(), 80).write(megabytes(50));
   loop.run_until(SimTime::zero() + Duration::seconds(30.0));
   const double mbps = static_cast<double>(delivered) * 8 / 30.0 / 1e6;
@@ -123,6 +122,7 @@ TEST(Topology, CollateralBaselineMatchesPathPhysics) {
 TEST(Topology, AsymmetricDuplexCarriesAcksUnimpeded) {
   // Data a->b at 1 Mbit/s with a fat reverse channel: ACKs never queue, so
   // goodput matches the forward rate.
+  transport::CallbackHandler sink;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& a = net.add_node<transport::Host>("a");
@@ -131,11 +131,8 @@ TEST(Topology, AsymmetricDuplexCarriesAcksUnimpeded) {
               net::LinkSpec{Bandwidth::mbps(50.0), Duration::millis(5), 48'000});
   net.build_routes();
   Bytes delivered = 0;
-  b.listen(80, [&](transport::TcpConnection& c) {
-    transport::TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes n) { delivered += n; };
+  b.listen(80, [&](transport::TcpConnection& c) { c.set_handler(&sink); });
   a.connect(b.id(), 80).write(megabytes(3));
   loop.run_until(SimTime::zero() + Duration::seconds(20.0));
   EXPECT_GT(static_cast<double>(delivered) * 8 / 20.0 / 1e6, 0.85);

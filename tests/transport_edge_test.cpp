@@ -11,6 +11,7 @@
 
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tests/callback_handler.hpp"
 #include "transport/host.hpp"
 
 // Zero-allocation assertions use util::AllocGuard; the counting operator
@@ -41,13 +42,11 @@ struct Pair {
 TEST(TcpEdge, MaxInflightCapsThroughputOnLongFatPath) {
   // 100 Mbit/s, 100 ms RTT: BDP = 1.25 MB >> the 64 KB window, so goodput
   // is window/RTT ~= 5 Mbit/s, not the link rate.
+  CallbackHandler sink;
   Pair p(net::LinkSpec{Bandwidth::mbps(100.0), Duration::millis(50), 4'000'000});
   Bytes delivered = 0;
-  p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes n) { delivered += n; };
+  p.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   p.a->connect(p.b->id(), 80).write(megabytes(20));
   p.run_for(10.0);
   const double mbps = static_cast<double>(delivered) * 8 / 10.0 / 1e6;
@@ -59,13 +58,11 @@ TEST(TcpEdge, LargerWindowRaisesLongFatThroughput) {
   TcpConfig big;
   big.max_inflight = 512 * 1024;
   big.initial_ssthresh = 512 * 1024;
+  CallbackHandler sink;
   Pair p(net::LinkSpec{Bandwidth::mbps(100.0), Duration::millis(50), 4'000'000}, big);
   Bytes delivered = 0;
-  p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes n) { delivered += n; };
+  p.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   p.a->connect(p.b->id(), 80).write(megabytes(40));
   p.run_for(10.0);
   EXPECT_GT(static_cast<double>(delivered) * 8 / 10.0 / 1e6, 20.0);
@@ -75,14 +72,14 @@ TEST(TcpEdge, SenderSurvivesTotalBlackout) {
   // The peer vanishes mid-transfer (we model it by aborting the receiving
   // endpoint silently — its RST races ahead but the sender's state machine
   // must terminate cleanly either way).
+  CallbackHandler client;
   Pair p(net::LinkSpec{Bandwidth::mbps(2.0), Duration::millis(5), 96'000});
   TcpConnection* server_side = nullptr;
   p.b->listen(80, [&](TcpConnection& c) { server_side = &c; });
   TcpConnection& c = p.a->connect(p.b->id(), 80);
   bool reset = false;
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { reset = true; };
-  c.set_callbacks(std::move(cbs));
+  client.reset = [&] { reset = true; };
+  c.set_handler(&client);
   c.write(megabytes(1));
   p.run_for(1.0);
   ASSERT_NE(server_side, nullptr);
@@ -116,6 +113,7 @@ TEST(TcpEdge, RtoBackoffGrowsExponentially) {
   // eventually give up (max_syn_retries).
   TcpConfig cfg;
   cfg.max_syn_retries = 3;
+  CallbackHandler client;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& a = net.add_node<Host>("a");
@@ -126,9 +124,8 @@ TEST(TcpEdge, RtoBackoffGrowsExponentially) {
   net.build_routes();
   bool reset = false;
   TcpConnection& c = a.connect(blackhole.id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { reset = true; };
-  c.set_callbacks(std::move(cbs));
+  client.reset = [&] { reset = true; };
+  c.set_handler(&client);
   // 3 s + 6 s + 12 s + 24 s of backoff before giving up: not yet at 20 s...
   loop.run_until(SimTime::zero() + Duration::seconds(20.0));
   EXPECT_FALSE(reset);
@@ -214,13 +211,11 @@ TEST(TcpEdge, SteadyStateLossPathIsAllocationFree) {
   // warm-up, none of it may touch the allocator — the interval vector is
   // inline/pooled, timer re-arms reuse their event record, and packets
   // ride pooled link records.
+  CallbackHandler sink;
   Pair p(net::LinkSpec{Bandwidth::mbps(10.0), Duration::millis(1), 6'000});
   Bytes delivered = 0;
-  p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes n) { delivered += n; };
+  p.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   TcpConnection& c = p.a->connect(p.b->id(), 80);
   c.write(megabytes(200));  // far more than the run can move: never drains
   p.run_for(5.0);  // warm-up: pools, rings, slabs, spill buffers
@@ -251,13 +246,11 @@ TEST(TcpEdge, ZeroByteWriteIsNoop) {
 }
 
 TEST(TcpEdge, ManySmallWritesCoalesceIntoSegments) {
+  CallbackHandler sink;
   Pair p(net::LinkSpec{Bandwidth::mbps(10.0), Duration::millis(1), 96'000});
   Bytes delivered = 0;
-  p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes n) { delivered += n; };
+  p.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   TcpConnection& c = p.a->connect(p.b->id(), 80);
   p.run_for(0.1);
   for (int i = 0; i < 1000; ++i) c.write(10);  // 10 KB in dribbles
@@ -277,13 +270,11 @@ class TcpThroughputSweep : public ::testing::TestWithParam<RateCase> {};
 
 TEST_P(TcpThroughputSweep, BulkTransferUsesMostOfTheLink) {
   const double rate = static_cast<double>(GetParam().mbps);
+  CallbackHandler sink;
   Pair p(net::LinkSpec{Bandwidth::mbps(rate), Duration::millis(2), 96'000});
   Bytes delivered = 0;
-  p.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes n) { delivered += n; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes n) { delivered += n; };
+  p.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   p.a->connect(p.b->id(), 80).write(megabytes(100));
   p.run_for(10.0);
   const double goodput_mbps = static_cast<double>(delivered) * 8 / 10.0 / 1e6;

@@ -10,6 +10,7 @@
 
 #include "net/network.hpp"
 #include "sim/event_loop.hpp"
+#include "tests/callback_handler.hpp"
 #include "transport/host.hpp"
 #include "util/alloc_guard.hpp"
 
@@ -32,14 +33,14 @@ struct TwoHostNet {
 constexpr net::LinkSpec kLan{Bandwidth::mbps(2.0), Duration::millis(1), 96'000};
 
 TEST(Tcp, HandshakeEstablishesBothEnds) {
+  CallbackHandler client;
   TwoHostNet t(kLan);
   TcpConnection* accepted = nullptr;
   t.b->listen(80, [&](TcpConnection& c) { accepted = &c; });
   bool established = false;
   TcpConnection& c = t.a->connect(t.b->id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_established = [&] { established = true; };
-  c.set_callbacks(std::move(cbs));
+  client.established = [&] { established = true; };
+  c.set_handler(&client);
   t.loop.run_until(SimTime::zero() + Duration::seconds(1.0));
   EXPECT_TRUE(established);
   ASSERT_NE(accepted, nullptr);
@@ -50,13 +51,13 @@ TEST(Tcp, HandshakeEstablishesBothEnds) {
 }
 
 TEST(Tcp, HandshakeTakesOneRtt) {
+  CallbackHandler client;
   TwoHostNet t(kLan);
   t.b->listen(80, [](TcpConnection&) {});
   SimTime established_at;
   TcpConnection& c = t.a->connect(t.b->id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_established = [&] { established_at = t.loop.now(); };
-  c.set_callbacks(std::move(cbs));
+  client.established = [&] { established_at = t.loop.now(); };
+  c.set_handler(&client);
   t.loop.run_until(SimTime::zero() + Duration::seconds(1.0));
   // SYN + SYN-ACK, each 1 ms propagation + tiny serialization.
   EXPECT_GE(established_at.ns(), Duration::millis(2).ns());
@@ -64,29 +65,27 @@ TEST(Tcp, HandshakeTakesOneRtt) {
 }
 
 TEST(Tcp, ConnectionToNonListeningPortResets) {
+  CallbackHandler client;
   TwoHostNet t(kLan);
   bool reset = false;
   TcpConnection& c = t.a->connect(t.b->id(), 4242);
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { reset = true; };
-  c.set_callbacks(std::move(cbs));
+  client.reset = [&] { reset = true; };
+  c.set_handler(&client);
   t.loop.run_until(SimTime::zero() + Duration::seconds(1.0));
   EXPECT_TRUE(reset);
 }
 
 /// Transfers `n` bytes a->b and returns the completion time (seconds).
 double transfer_time(const net::LinkSpec& spec, Bytes n) {
+  CallbackHandler sink;
   TwoHostNet t(spec);
   Bytes delivered = 0;
   SimTime done_at;
-  t.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&, n](Bytes newly) {
-      delivered += newly;
-      if (delivered >= n) done_at = t.net.loop().now();
-    };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&, n](Bytes newly) {
+    delivered += newly;
+    if (delivered >= n) done_at = t.net.loop().now();
+  };
+  t.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   c.write(n);
   t.loop.run_until(SimTime::zero() + Duration::seconds(120.0));
@@ -113,13 +112,11 @@ TEST(Tcp, ThroughputScalesWithBandwidth) {
 TEST(Tcp, SlowStartDoublesPerRtt) {
   // With a 100 ms RTT and an initial window of 2 MSS, delivered bytes
   // should roughly double each RTT during slow start.
+  CallbackHandler sink;
   TwoHostNet t(net::LinkSpec{Bandwidth::mbps(100.0), Duration::millis(50), 1'000'000});
   Bytes delivered = 0;
-  t.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes newly) { delivered += newly; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes newly) { delivered += newly; };
+  t.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   c.write(megabytes(4));
   // Handshake completes at ~100 ms and the first flight lands at ~150 ms;
@@ -143,13 +140,11 @@ TEST(Tcp, SlowStartDoublesPerRtt) {
 
 TEST(Tcp, SmallMessageNeedsNoFullMss) {
   // 200 bytes should arrive as a single sub-MSS segment quickly.
+  CallbackHandler sink;
   TwoHostNet t(kLan);
   Bytes delivered = 0;
-  t.b->listen(80, [&](TcpConnection& c) {
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&](Bytes newly) { delivered += newly; };
-    c.set_callbacks(std::move(cbs));
-  });
+  sink.data = [&](Bytes newly) { delivered += newly; };
+  t.b->listen(80, [&](TcpConnection& c) { c.set_handler(&sink); });
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   c.write(200);
   t.loop.run_until(SimTime::zero() + Duration::millis(10));
@@ -157,13 +152,13 @@ TEST(Tcp, SmallMessageNeedsNoFullMss) {
 }
 
 TEST(Tcp, OnAckedReportsProgress) {
+  CallbackHandler client;
   TwoHostNet t(kLan);
   t.b->listen(80, [](TcpConnection&) {});
   Bytes acked = 0;
   TcpConnection& c = t.a->connect(t.b->id(), 80);
-  TcpConnection::Callbacks cbs;
-  cbs.on_acked = [&](Bytes total) { acked = total; };
-  c.set_callbacks(std::move(cbs));
+  client.acked = [&](Bytes total) { acked = total; };
+  c.set_handler(&client);
   c.write(10'000);
   t.loop.run_until(SimTime::zero() + Duration::seconds(2.0));
   EXPECT_EQ(acked, 10'000);
@@ -202,6 +197,7 @@ TEST(Tcp, SrttApproximatesPathRtt) {
 }
 
 TEST(Tcp, AbortSendsRstToPeer) {
+  CallbackHandler server;
   TwoHostNet t(kLan);
   TcpConnection* accepted = nullptr;
   t.b->listen(80, [&](TcpConnection& c) { accepted = &c; });
@@ -209,9 +205,8 @@ TEST(Tcp, AbortSendsRstToPeer) {
   t.loop.run_until(SimTime::zero() + Duration::millis(100));
   ASSERT_NE(accepted, nullptr);
   bool peer_reset = false;
-  TcpConnection::Callbacks cbs;
-  cbs.on_reset = [&] { peer_reset = true; };
-  accepted->set_callbacks(std::move(cbs));
+  server.reset = [&] { peer_reset = true; };
+  accepted->set_handler(&server);
   c.abort();
   EXPECT_TRUE(c.closed());
   t.loop.run_until(SimTime::zero() + Duration::millis(200));
@@ -234,6 +229,7 @@ TEST(Tcp, SynLossRecoversViaRto) {
   // Drop the first SYN by using a zero-capacity... not possible; instead use
   // a queue fitting nothing beyond the in-flight packet and pre-fill the
   // link with a dummy transfer so the SYN is dropped.
+  CallbackHandler client;
   TwoHostNet t(net::LinkSpec{Bandwidth::kbps(64), Duration::millis(1), 100});
   t.b->listen(80, [](TcpConnection&) {});
   // Saturate the a->b direction so some control packets drop.
@@ -241,9 +237,8 @@ TEST(Tcp, SynLossRecoversViaRto) {
   filler.write(kilobytes(50));
   TcpConnection& c = t.a->connect(t.b->id(), 80);
   bool established = false;
-  TcpConnection::Callbacks cbs;
-  cbs.on_established = [&] { established = true; };
-  c.set_callbacks(std::move(cbs));
+  client.established = [&] { established = true; };
+  c.set_handler(&client);
   t.loop.run_until(SimTime::zero() + Duration::seconds(60.0));
   EXPECT_TRUE(established);  // SYN retries eventually get through
 }
@@ -251,6 +246,8 @@ TEST(Tcp, SynLossRecoversViaRto) {
 TEST(Tcp, TwoFlowsShareBottleneckFairly) {
   // Two hosts behind a shared 2 Mbit/s bottleneck send to the same sink;
   // long-run throughputs should be within 2x of each other.
+  CallbackHandler from_h1;
+  CallbackHandler from_h2;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& h1 = net.add_node<Host>("h1");
@@ -264,11 +261,10 @@ TEST(Tcp, TwoFlowsShareBottleneckFairly) {
   net.build_routes();
   Bytes d1 = 0;
   Bytes d2 = 0;
+  from_h1.data = [&](Bytes n) { d1 += n; };
+  from_h2.data = [&](Bytes n) { d2 += n; };
   sink.listen(80, [&](TcpConnection& c) {
-    const auto remote = c.remote_node();
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&, remote](Bytes n) { (remote == h1.id() ? d1 : d2) += n; };
-    c.set_callbacks(std::move(cbs));
+    c.set_handler(c.remote_node() == h1.id() ? &from_h1 : &from_h2);
   });
   h1.connect(sink.id(), 80).write(megabytes(100));
   h2.connect(sink.id(), 80).write(megabytes(100));
@@ -286,6 +282,8 @@ TEST(Tcp, ParallelConnectionsGrabLargerShare) {
   // One host opens 5 connections, the other 1, across a shared bottleneck:
   // the 5-connection host should get roughly 5x the bandwidth (§4.2's
   // n/(n+1) argument). Accept anything clearly above 2x.
+  CallbackHandler from_greedy;
+  CallbackHandler from_meek;
   sim::EventLoop loop;
   net::Network net(loop);
   auto& greedy = net.add_node<Host>("greedy");
@@ -299,17 +297,24 @@ TEST(Tcp, ParallelConnectionsGrabLargerShare) {
   net.build_routes();
   Bytes dg = 0;
   Bytes dm = 0;
+  from_greedy.data = [&](Bytes n) { dg += n; };
+  from_meek.data = [&](Bytes n) { dm += n; };
   sink.listen(80, [&](TcpConnection& c) {
-    const auto remote = c.remote_node();
-    TcpConnection::Callbacks cbs;
-    cbs.on_data = [&, remote](Bytes n) { (remote == greedy.id() ? dg : dm) += n; };
-    c.set_callbacks(std::move(cbs));
+    c.set_handler(c.remote_node() == greedy.id() ? &from_greedy : &from_meek);
   });
   for (int i = 0; i < 5; ++i) greedy.connect(sink.id(), 80).write(megabytes(100));
   meek.connect(sink.id(), 80).write(megabytes(100));
   loop.run_until(SimTime::zero() + Duration::seconds(60.0));
   ASSERT_GT(dm, 0);
   EXPECT_GT(static_cast<double>(dg) / static_cast<double>(dm), 2.0);
+}
+
+// A connection reports to its one handler through a single pointer. Every
+// client host keeps two connection slots, so a callback member added back
+// (a std::function is 32 B) would cost each of 10^5 client hosts 64 B.
+// 488 B is the measured size on x86-64 with libstdc++.
+TEST(Tcp, ConnectionHoldsNoCallbackObjects) {
+  EXPECT_LE(sizeof(TcpConnection), 488u);
 }
 
 TEST(Host, PortAllocationIsUnique) {

@@ -584,6 +584,12 @@ int cmd_dispatch(const std::vector<std::string>& args, const char* argv0) {
   for (const std::string& f : report.failures) {
     std::fprintf(stderr, "dispatch: %s\n", f.c_str());
   }
+  // stderr, so a --status json stdout stays pure JSON lines.
+  if (report.claims > 0) {
+    std::fprintf(stderr,
+                 "claims: not evaluated (a dispatched sweep merges only CSV columns; "
+                 "run 'speakup run FILE' to check them)\n");
+  }
   // Mirror `run`: scenario-level failures (error rows in the CSV) exit 1,
   // as does a sweep that could not complete every slice.
   return report.ok && report.rows_failed == 0 ? 0 : 1;
