@@ -16,6 +16,7 @@ ClientPool::ClientPool(sim::EventLoop& loop, net::NodeId thinner,
     : loop_(&loop),
       thinner_(thinner),
       params_(params),
+      strategy_params_(strategy_params(params)),
       base_index_(base_index),
       session_pool_(loop) {
   util::require(params.lambda > 0, "client lambda must be positive");
@@ -51,19 +52,17 @@ void ClientPool::reserve(std::size_t n) {
 void ClientPool::add_member(transport::Host& host, util::RngStream rng) {
   hosts_.push_back(&host);
   rngs_.push_back(std::move(rng));
-  strategies_.push_back(
-      StrategyFactory::instance().create(params_.strategy, strategy_params(params_)));
+  strategies_.push_back(StrategyFactory::instance().create(params_.strategy, strategy_params_));
   stats_.emplace_back();
   next_seq_.push_back(0);
   paused_.push_back(0);
-  // Preallocate the per-member dynamic state (a member's FIRST backlog
-  // push or outstanding request can land arbitrarily late in a run, and
-  // the steady-state request cycle must never touch the allocator —
-  // tests/client_pool_test.cpp pins that with a counted operator new).
+  // Preallocate the backlog ring (a member's FIRST backlog push can land
+  // arbitrarily late in a run, and the steady-state request cycle must
+  // never touch the allocator — tests/client_pool_test.cpp pins that with a
+  // counted operator new). The outstanding list lives in the request slab.
   backlogs_.emplace_back();
   backlogs_.back().grow();  // ring capacity 8 up front
   outstanding_.emplace_back();
-  outstanding_.back().reserve(static_cast<std::size_t>(params_.window) + 1);
   arr_when_.emplace_back();
   arr_seq_.push_back(0);
   heap_pos_.push_back(kNpos);
@@ -73,7 +72,7 @@ StrategyView ClientPool::view(std::uint32_t m) const {
   StrategyView v;
   v.now = loop_->now();
   v.stats = &stats_[m];
-  v.outstanding = outstanding_[m].size();
+  v.outstanding = outstanding_[m].count;
   v.backlog = backlogs_[m].count;
   return v;
 }
@@ -139,8 +138,12 @@ void ClientPool::audit() const {
                       "ClientPool: every slot is either live or free-listed");
   std::size_t outstanding_total = 0;
   for (std::uint32_t m = 0; m < n; ++m) {
-    for (const std::uint32_t slot : outstanding_[m]) {
-      ++outstanding_total;
+    std::uint32_t listed = 0;
+    std::uint32_t prev = kNpos;
+    for (std::uint32_t slot = outstanding_[m].head; slot != kNpos;) {
+      ++listed;
+      SPEAKUP_AUDIT_CHECK(listed <= live_requests_,
+                          "ClientPool: outstanding list must not cycle");
       SPEAKUP_AUDIT_CHECK(slot < slot_live_.size() && slot_live_[slot],
                           "ClientPool: outstanding entry must reference a live slot");
       // request_at is non-const only because of std::launder plumbing; the
@@ -148,7 +151,14 @@ void ClientPool::audit() const {
       const Request* r = const_cast<ClientPool*>(this)->request_at(slot);
       SPEAKUP_AUDIT_CHECK(r->member == m,
                           "ClientPool: outstanding slot must belong to its member");
+      SPEAKUP_AUDIT_CHECK(r->out_prev == prev,
+                          "ClientPool: outstanding list back link must mirror the forward link");
+      prev = slot;
+      slot = r->out_next;
     }
+    SPEAKUP_AUDIT_CHECK(listed == outstanding_[m].count,
+                        "ClientPool: outstanding count must match the member's list");
+    outstanding_total += listed;
   }
   SPEAKUP_AUDIT_CHECK(outstanding_total == live_requests_,
                       "ClientPool: every live request is outstanding for exactly one member");
@@ -188,7 +198,7 @@ void ClientPool::on_arrival(std::uint32_t m) {
   if (paused_[m]) return;  // the member's arrival chain stops here
   ++stats_[m].arrivals;
   purge_backlog(m);
-  if (outstanding_[m].size() < static_cast<std::size_t>(current_window(m))) {
+  if (outstanding_[m].count < static_cast<std::uint32_t>(current_window(m))) {
     start_request(m);
   } else {
     backlogs_[m].push_back(loop_->now());
@@ -229,7 +239,7 @@ void ClientPool::start_request(std::uint32_t m) {
     if (req.retry_pumping) pump_retries(req);
   };
   r.stream->set_callbacks(std::move(cbs));
-  outstanding_[m].push_back(slot);
+  link_outstanding(slot);
   ++stats_[m].started;
 }
 
@@ -269,9 +279,6 @@ void ClientPool::on_message(Request& r, const Message& m) {
     case MessageType::kResponse: {
       ++stats_[mem].served;
       stats_[mem].response_time.add((loop_->now() - r.sent).sec());
-      if (r.paying) {
-        stats_[mem].payment_time_client.add((loop_->now() - r.pay_started).sec());
-      }
       finish(r.id, Disposition::kServed);
       break;
     }
@@ -342,14 +349,7 @@ void ClientPool::finish(std::uint64_t id, Disposition d) {
     r.stream = nullptr;
     session_pool_.retire(s);
   }
-  std::vector<std::uint32_t>& out = outstanding_[mem];
-  for (std::uint32_t& e : out) {
-    if (e == slot) {
-      e = out.back();
-      out.pop_back();
-      break;
-    }
-  }
+  unlink_outstanding(slot);
   release_request(slot);
   drain_backlog(mem);
 }
@@ -366,7 +366,7 @@ void ClientPool::purge_backlog(std::uint32_t m) {
 void ClientPool::drain_backlog(std::uint32_t m) {
   purge_backlog(m);
   while (backlogs_[m].count > 0 &&
-         outstanding_[m].size() < static_cast<std::size_t>(current_window(m))) {
+         outstanding_[m].count < static_cast<std::uint32_t>(current_window(m))) {
     backlogs_[m].pop_front();
     start_request(m);
   }
@@ -397,15 +397,38 @@ void ClientPool::release_request(std::uint32_t slot) {
   --live_requests_;
 }
 
+void ClientPool::link_outstanding(std::uint32_t slot) {
+  Request& r = *request_at(slot);
+  OutstandingList& list = outstanding_[r.member];
+  r.out_prev = kNpos;
+  r.out_next = list.head;
+  if (list.head != kNpos) request_at(list.head)->out_prev = slot;
+  list.head = slot;
+  ++list.count;
+}
+
+void ClientPool::unlink_outstanding(std::uint32_t slot) {
+  Request& r = *request_at(slot);
+  OutstandingList& list = outstanding_[r.member];
+  if (r.out_prev != kNpos) {
+    request_at(r.out_prev)->out_next = r.out_next;
+  } else {
+    list.head = r.out_next;
+  }
+  if (r.out_next != kNpos) request_at(r.out_next)->out_prev = r.out_prev;
+  --list.count;
+}
+
 ClientPool::Request* ClientPool::find_request(std::uint64_t id, std::uint32_t* out_slot) {
   const auto global = static_cast<std::uint32_t>((id >> 32) - 1);
   if (global < base_index_ || global - base_index_ >= outstanding_.size()) return nullptr;
-  for (const std::uint32_t slot : outstanding_[global - base_index_]) {
+  for (std::uint32_t slot = outstanding_[global - base_index_].head; slot != kNpos;) {
     Request* r = request_at(slot);
     if (r->id == id) {
       *out_slot = slot;
       return r;
     }
+    slot = r->out_next;
   }
   return nullptr;
 }

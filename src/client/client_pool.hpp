@@ -25,7 +25,8 @@
 // per-member state — stats, strategy, RNG stream, request-id counter,
 // backlog ring — lives in dense parallel arrays indexed by member id.
 // Outstanding requests live in a pool-wide chunked slab (stable addresses,
-// generation-counted slots), and all members share one http::SessionPool.
+// generation-counted slots), each member's threaded through it as an
+// intrusive list, and all members share one http::SessionPool.
 //
 // Arrival batching is the interesting part. One pending event-loop entry
 // per member would mean 10^5+ live slab records just for arrival timers at
@@ -153,7 +154,7 @@ class ClientPool {
     return stats_[member];
   }
   [[nodiscard]] std::size_t outstanding(std::uint32_t member) const {
-    return outstanding_[member].size();
+    return outstanding_[member].count;
   }
   [[nodiscard]] std::size_t backlog(std::uint32_t member) const {
     return backlogs_[member].count;
@@ -183,9 +184,14 @@ class ClientPool {
 #endif
 
  private:
+  static constexpr std::uint32_t kNpos = UINT32_MAX;
+
   struct Request {
     std::uint64_t id = 0;  // (global_index + 1) << 32 | per-client seq
     std::uint32_t member = 0;
+    // Neighbours in the member's outstanding list (slots, or kNpos).
+    std::uint32_t out_prev = kNpos;
+    std::uint32_t out_next = kNpos;
     SimTime sent;
     http::MessageStream* stream = nullptr;
     std::optional<PaymentChannelClient> payment;
@@ -198,6 +204,14 @@ class ClientPool {
   };
 
   enum class Disposition { kServed, kDenied, kBusyRejected };
+
+  /// A member's outstanding requests: a doubly-linked list threaded through
+  /// the request slab, so a member costs 8 bytes here instead of a vector
+  /// header plus a heap buffer.
+  struct OutstandingList {
+    std::uint32_t head = kNpos;
+    std::uint32_t count = 0;
+  };
 
   /// Growable FIFO ring of backlogged arrival timestamps (a
   /// std::deque<SimTime> minus the deque's chunk allocator).
@@ -226,7 +240,6 @@ class ClientPool {
   };
 
   static constexpr std::size_t kChunk = 64;
-  static constexpr std::uint32_t kNpos = UINT32_MAX;
 
   struct alignas(Request) RawSlot {
     std::byte bytes[sizeof(Request)];
@@ -258,6 +271,9 @@ class ClientPool {
   }
   std::uint32_t acquire_request();
   void release_request(std::uint32_t slot);
+  /// Pushes the slot onto / removes it from its member's outstanding list.
+  void link_outstanding(std::uint32_t slot);
+  void unlink_outstanding(std::uint32_t slot);
   /// The live request with this full id, or nullptr (finish() idempotence:
   /// the full 64-bit id doubles as a generation check).
   [[nodiscard]] Request* find_request(std::uint64_t id, std::uint32_t* out_slot);
@@ -280,6 +296,7 @@ class ClientPool {
   sim::EventLoop* loop_;
   net::NodeId thinner_;
   WorkloadParams params_;
+  StrategyParams strategy_params_;  // built once; each member's strategy is built from it
   std::uint32_t base_index_;
   http::Message request_template_;  // interned kRequest header; id set per send
   http::SessionPool session_pool_;
@@ -292,7 +309,7 @@ class ClientPool {
   std::vector<std::uint32_t> next_seq_;
   std::vector<std::uint8_t> paused_;
   std::vector<BacklogRing> backlogs_;
-  std::vector<std::vector<std::uint32_t>> outstanding_;  // request slot ids
+  std::vector<OutstandingList> outstanding_;
 
   // Pending-arrival keys + indexed min-heap over members.
   std::vector<SimTime> arr_when_;

@@ -52,8 +52,8 @@ namespace {
 
 class PoissonStrategy final : public Strategy {
  public:
-  explicit PoissonStrategy(StrategyParams p) : Strategy(std::move(p)) {
-    params_.require_knobs(name(), {});
+  explicit PoissonStrategy(const StrategyParams& p) : Strategy(p) {
+    p.require_knobs(name(), {});
   }
 
   [[nodiscard]] std::string_view name() const override { return "poisson"; }
@@ -61,7 +61,7 @@ class PoissonStrategy final : public Strategy {
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
                                       const StrategyView& v) override {
     (void)v;
-    return Duration::seconds(rng.exponential(params_.lambda));
+    return Duration::seconds(rng.exponential(lambda_));
   }
 };
 
@@ -74,12 +74,12 @@ class PoissonStrategy final : public Strategy {
 
 class OnOffStrategy final : public Strategy {
  public:
-  explicit OnOffStrategy(StrategyParams p)
-      : Strategy(std::move(p)),
-        period_(params_.knob("period_s", 10.0)),
-        duty_(params_.knob("duty", 0.5)),
-        offset_(params_.knob("offset_s", 0.0)) {
-    params_.require_knobs(name(), {"period_s", "duty", "offset_s"});
+  explicit OnOffStrategy(const StrategyParams& p)
+      : Strategy(p),
+        period_(p.knob("period_s", 10.0)),
+        duty_(p.knob("duty", 0.5)),
+        offset_(p.knob("offset_s", 0.0)) {
+    p.require_knobs(name(), {"period_s", "duty", "offset_s"});
     if (period_ <= 0) bad_knob(name(), "period_s must be > 0");
     if (duty_ <= 0 || duty_ > 1) bad_knob(name(), "duty must be in (0, 1]");
   }
@@ -88,7 +88,7 @@ class OnOffStrategy final : public Strategy {
 
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
                                       const StrategyView& v) override {
-    double need = rng.exponential(params_.lambda);  // on-time to consume
+    double need = rng.exponential(lambda_);  // on-time to consume
     if (duty_ >= 1.0) return Duration::seconds(need);  // always on: plain Poisson
     const double on_len = period_ * duty_;
     double t = v.now.sec() - offset_;
@@ -126,11 +126,11 @@ class OnOffStrategy final : public Strategy {
 
 class DefectorStrategy final : public Strategy {
  public:
-  explicit DefectorStrategy(StrategyParams p)
-      : Strategy(std::move(p)),
-        defect_after_served_(params_.knob("defect_after_served", 1.0)),
-        patience_(params_.knob("patience_s", 0.0)) {
-    params_.require_knobs(name(), {"defect_after_served", "patience_s"});
+  explicit DefectorStrategy(const StrategyParams& p)
+      : Strategy(p),
+        defect_after_served_(p.knob("defect_after_served", 1.0)),
+        patience_(p.knob("patience_s", 0.0)) {
+    p.require_knobs(name(), {"defect_after_served", "patience_s"});
     if (defect_after_served_ < 1) bad_knob(name(), "defect_after_served must be >= 1");
     if (patience_ < 0) bad_knob(name(), "patience_s must be >= 0");
   }
@@ -140,7 +140,7 @@ class DefectorStrategy final : public Strategy {
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
                                       const StrategyView& v) override {
     (void)v;
-    return Duration::seconds(rng.exponential(params_.lambda));
+    return Duration::seconds(rng.exponential(lambda_));
   }
 
   [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) override {
@@ -170,12 +170,12 @@ class DefectorStrategy final : public Strategy {
 
 class AdaptiveWindowStrategy final : public Strategy {
  public:
-  explicit AdaptiveWindowStrategy(StrategyParams p)
-      : Strategy(std::move(p)),
-        max_window_(params_.knob("max_window", 3.0 * params_.window)),
-        gain_(params_.knob("gain", 1.0)) {
-    params_.require_knobs(name(), {"max_window", "gain"});
-    if (max_window_ < params_.window) {
+  explicit AdaptiveWindowStrategy(const StrategyParams& p)
+      : Strategy(p),
+        max_window_(p.knob("max_window", 3.0 * p.window)),
+        gain_(p.knob("gain", 1.0)) {
+    p.require_knobs(name(), {"max_window", "gain"});
+    if (max_window_ < window_) {
       bad_knob(name(), "max_window must be >= the base window");
     }
     if (gain_ < 0) bad_knob(name(), "gain must be >= 0");
@@ -186,7 +186,7 @@ class AdaptiveWindowStrategy final : public Strategy {
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
                                       const StrategyView& v) override {
     (void)v;
-    return Duration::seconds(rng.exponential(params_.lambda));
+    return Duration::seconds(rng.exponential(lambda_));
   }
 
   [[nodiscard]] int window(const StrategyView& v) override {
@@ -196,7 +196,7 @@ class AdaptiveWindowStrategy final : public Strategy {
                       : static_cast<double>(v.stats->denied + v.stats->busy_rejected) /
                             static_cast<double>(resolved);
     const double ramp = std::min(1.0, gain_ * denial_rate);
-    const double w = params_.window + ramp * (max_window_ - params_.window);
+    const double w = window_ + ramp * (max_window_ - window_);
     return static_cast<int>(std::llround(w));
   }
 
@@ -215,12 +215,12 @@ class AdaptiveWindowStrategy final : public Strategy {
 
 class FlashCrowdStrategy final : public Strategy {
  public:
-  explicit FlashCrowdStrategy(StrategyParams p)
-      : Strategy(std::move(p)),
-        surge_start_(params_.knob("surge_start_s", 10.0)),
-        surge_len_(params_.knob("surge_duration_s", 20.0)),
-        factor_(params_.knob("surge_factor", 10.0)) {
-    params_.require_knobs(name(), {"surge_start_s", "surge_duration_s", "surge_factor"});
+  explicit FlashCrowdStrategy(const StrategyParams& p)
+      : Strategy(p),
+        surge_start_(p.knob("surge_start_s", 10.0)),
+        surge_len_(p.knob("surge_duration_s", 20.0)),
+        factor_(p.knob("surge_factor", 10.0)) {
+    p.require_knobs(name(), {"surge_start_s", "surge_duration_s", "surge_factor"});
     if (surge_start_ < 0) bad_knob(name(), "surge_start_s must be >= 0");
     if (surge_len_ <= 0) bad_knob(name(), "surge_duration_s must be > 0");
     if (factor_ <= 0) bad_knob(name(), "surge_factor must be > 0");
@@ -232,7 +232,7 @@ class FlashCrowdStrategy final : public Strategy {
                                       const StrategyView& v) override {
     // `need` is measured in base-rate time; a surge second consumes
     // factor_ of it.
-    double need = rng.exponential(params_.lambda);
+    double need = rng.exponential(lambda_);
     double t = v.now.sec();
     const double s0 = surge_start_;
     const double s1 = surge_start_ + surge_len_;
@@ -273,11 +273,11 @@ class FlashCrowdStrategy final : public Strategy {
 
 class ReconStrategy final : public Strategy {
  public:
-  explicit ReconStrategy(StrategyParams p)
-      : Strategy(std::move(p)),
-        probes_(params_.knob("probes", 8.0)),
-        probe_lambda_(params_.knob("probe_lambda", 0.0)) {
-    params_.require_knobs(name(), {"probes", "probe_lambda"});
+  explicit ReconStrategy(const StrategyParams& p)
+      : Strategy(p),
+        probes_(p.knob("probes", 8.0)),
+        probe_lambda_(p.knob("probe_lambda", 0.0)) {
+    p.require_knobs(name(), {"probes", "probe_lambda"});
     if (probes_ < 0) bad_knob(name(), "probes must be >= 0");
     if (probe_lambda_ < 0) bad_knob(name(), "probe_lambda must be >= 0 (0 = base lambda)");
   }
@@ -288,7 +288,7 @@ class ReconStrategy final : public Strategy {
                                       const StrategyView& v) override {
     (void)v;
     const double rate =
-        probing() && probe_lambda_ > 0 ? probe_lambda_ : params_.lambda;
+        probing() && probe_lambda_ > 0 ? probe_lambda_ : lambda_;
     const Duration gap = Duration::seconds(rng.exponential(rate));
     ++arrivals_drawn_;
     return gap;
@@ -326,11 +326,11 @@ class ReconStrategy final : public Strategy {
 
 class SwitcherStrategy final : public Strategy {
  public:
-  explicit SwitcherStrategy(StrategyParams p)
-      : Strategy(std::move(p)),
-        min_obs_(params_.knob("min_observations", 20.0)),
-        threshold_(params_.knob("served_threshold", 0.2)) {
-    params_.require_knobs(name(), {"min_observations", "served_threshold"});
+  explicit SwitcherStrategy(const StrategyParams& p)
+      : Strategy(p),
+        min_obs_(p.knob("min_observations", 20.0)),
+        threshold_(p.knob("served_threshold", 0.2)) {
+    p.require_knobs(name(), {"min_observations", "served_threshold"});
     if (min_obs_ < 1) bad_knob(name(), "min_observations must be >= 1");
     if (threshold_ < 0 || threshold_ > 1) {
       bad_knob(name(), "served_threshold must be in [0, 1]");
@@ -342,7 +342,7 @@ class SwitcherStrategy final : public Strategy {
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
                                       const StrategyView& v) override {
     (void)v;
-    return Duration::seconds(rng.exponential(params_.lambda));
+    return Duration::seconds(rng.exponential(lambda_));
   }
 
   [[nodiscard]] bool pay(util::RngStream& rng, const StrategyView& v) override {

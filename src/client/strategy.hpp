@@ -79,7 +79,11 @@ struct StrategyParams {
 
 class Strategy {
  public:
-  explicit Strategy(StrategyParams params) : params_(std::move(params)) {}
+  /// Keeps only the base knobs. A strategy parses its named knobs into its
+  /// own fields in its constructor, so it holds nothing of `params` — one
+  /// strategy exists per client, 10^5 of them in the largest runs.
+  explicit Strategy(const StrategyParams& params)
+      : lambda_(params.lambda), window_(params.window), retry_pipeline_(params.retry_pipeline) {}
   virtual ~Strategy() = default;
 
   Strategy(const Strategy&) = delete;
@@ -97,7 +101,7 @@ class Strategy {
   /// client). Default: the fixed base window.
   [[nodiscard]] virtual int window(const StrategyView& v) {
     (void)v;
-    return params_.window;
+    return window_;
   }
 
   /// Whether to answer kPleasePay by opening a payment channel. Returning
@@ -122,11 +126,13 @@ class Strategy {
   /// §3.2 retry mode: target number of unacked retries kept in flight.
   [[nodiscard]] virtual int retry_pipeline(const StrategyView& v) {
     (void)v;
-    return params_.retry_pipeline;
+    return retry_pipeline_;
   }
 
  protected:
-  const StrategyParams params_;
+  const double lambda_;
+  const int window_;
+  const int retry_pipeline_;
 };
 
 /// Name-keyed registry of client strategies, mirroring core::FrontEndFactory:

@@ -197,14 +197,18 @@ void hash_double(std::uint64_t& h, double v) {
   hash_u64(h, bits);
 }
 
-void hash_samples(std::uint64_t& h, const stats::SampleSet& s) {
-  hash_u64(h, s.count());
+// Count, sum, min and max. A SampleSet hashes its summary the same way, so a
+// field can switch between the two without moving a fingerprint.
+void hash_samples(std::uint64_t& h, const stats::OnlineStats& s) {
+  hash_u64(h, static_cast<std::uint64_t>(s.count()));
   hash_double(h, s.sum());
-  if (!s.empty()) {
+  if (s.count() > 0) {
     hash_double(h, s.min());
     hash_double(h, s.max());
   }
 }
+
+void hash_samples(std::uint64_t& h, const stats::SampleSet& s) { hash_samples(h, s.summary()); }
 
 }  // namespace
 

@@ -202,7 +202,7 @@ TcpConnection& Host::emplace_connection(std::uint32_t local_port, net::NodeId re
   SPEAKUP_ASSERT(find_connection(local_port, remote, remote_port) == nullptr);
   const std::uint32_t slot = acquire_slot();
   TcpConnection* conn = ::new (static_cast<void*>(raw_at(slot).bytes))
-      TcpConnection(*this, local_port, remote, remote_port, tcp_cfg_, initiator);
+      TcpConnection(*this, local_port, remote, remote_port, initiator);
   states_[slot] = SlotState::kLive;
   table_insert(local_port, remote, remote_port, slot);
   ++connections_created_;

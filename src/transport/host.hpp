@@ -30,6 +30,7 @@
 #include "net/node.hpp"
 #include "sim/event_loop.hpp"
 #include "transport/tcp_connection.hpp"
+#include "util/assert.hpp"
 #include "util/audit.hpp"
 
 namespace speakup::transport {
@@ -41,7 +42,13 @@ class Host : public net::Node {
 
   ~Host() override;
 
-  void set_tcp_config(const TcpConfig& cfg) { tcp_cfg_ = cfg; }
+  /// Connections read this config live, so it is fixed once the host has
+  /// a connection slot: a later call would retune open connections.
+  void set_tcp_config(const TcpConfig& cfg) {
+    util::require(states_.empty(),
+                  "Host::set_tcp_config: the config is fixed once a connection exists");
+    tcp_cfg_ = cfg;
+  }
   [[nodiscard]] const TcpConfig& tcp_config() const { return tcp_cfg_; }
 
   /// Opens a connection to (dst, dst_port). The returned reference stays

@@ -5,11 +5,12 @@
 // dropped segment opens, and loss-heavy scenarios (shared bottlenecks,
 // §7.6/§7.7) open holes continuously. This tracker keeps the intervals in
 // a small sorted array instead: the first kInline intervals live inline in
-// the connection object (real traces essentially never exceed a handful of
-// simultaneous holes — reordering is bounded by the congestion window),
-// and a connection that does exceed it spills into a heap buffer once and
-// keeps that buffer for its lifetime, so the steady state allocates
-// nothing either way.
+// the connection object, and a connection that exceeds them spills into a
+// heap buffer once and keeps that buffer for its lifetime, so the steady
+// state allocates nothing either way. kInline is 2: every connection pays
+// for the inline array (two per client host at 10^5 clients), while even
+// the loss-heavy scenario files spill on only a small fraction of their
+// connections (docs/performance.md, "Lean per-client records").
 //
 // Semantics are exactly the map-based merge logic (pinned against a
 // reference implementation by randomized_property_test): intervals are
@@ -36,6 +37,9 @@ class OooTracker {
     std::int64_t end;
   };
 
+  /// Intervals held without a heap buffer.
+  static constexpr std::uint32_t kInline = 2;
+
   OooTracker() = default;
   // The tracker hands out interior pointers (data_), so it pins itself.
   OooTracker(const OooTracker&) = delete;
@@ -46,17 +50,17 @@ class OooTracker {
   void insert(std::int64_t begin, std::int64_t end) {
     SPEAKUP_ASSERT(begin < end);
     // Find the first interval that starts after `begin` (upper bound).
-    std::size_t idx = 0;
+    std::uint32_t idx = 0;
     while (idx < size_ && data_[idx].begin <= begin) ++idx;
     // The predecessor absorbs us when it reaches (or touches) our begin.
-    std::size_t first = idx;
+    std::uint32_t first = idx;
     if (idx > 0 && data_[idx - 1].end >= begin) {
       first = idx - 1;
       begin = data_[first].begin;
     }
     // Swallow every following interval our end reaches (or touches).
     std::int64_t merged_end = end;
-    std::size_t last = first;  // one past the last swallowed interval
+    std::uint32_t last = first;  // one past the last swallowed interval
     while (last < size_ && data_[last].begin <= merged_end) {
       if (data_[last].end > merged_end) merged_end = data_[last].end;
       ++last;
@@ -80,7 +84,7 @@ class OooTracker {
   /// its end. Returns the new floor (== the old one when the lowest
   /// interval still leaves a gap).
   [[nodiscard]] std::int64_t pop_prefix(std::int64_t floor) {
-    std::size_t drop = 0;
+    std::uint32_t drop = 0;
     while (drop < size_ && data_[drop].begin <= floor) {
       if (data_[drop].end > floor) floor = data_[drop].end;
       ++drop;
@@ -110,7 +114,7 @@ class OooTracker {
     SPEAKUP_AUDIT_CHECK(spilled() ? (data_ == spill_.data() && cap_ == spill_.size())
                                   : cap_ == kInline,
                         "OooTracker: storage pointer/capacity bookkeeping broken");
-    for (std::size_t i = 0; i < size_; ++i) {
+    for (std::uint32_t i = 0; i < size_; ++i) {
       SPEAKUP_AUDIT_CHECK(data_[i].begin < data_[i].end,
                           "OooTracker: interval must be non-empty");
       if (i > 0) {
@@ -122,15 +126,13 @@ class OooTracker {
 #endif
 
  private:
-  static constexpr std::size_t kInline = 8;
-
   void grow_if_full() {
     if (size_ < cap_) return;
     // First spill moves inline -> heap; later spills double the buffer.
     // The buffer is never given back: a connection that reordered once
     // will likely reorder again, and reuse is what keeps the steady state
     // allocation-free.
-    const std::size_t new_cap = cap_ * 2;
+    const std::uint32_t new_cap = cap_ * 2;
     std::vector<Interval> bigger(new_cap);
     std::memcpy(bigger.data(), data_, size_ * sizeof(Interval));
     spill_.swap(bigger);
@@ -141,8 +143,8 @@ class OooTracker {
   Interval inline_[kInline];
   std::vector<Interval> spill_;
   Interval* data_ = inline_;
-  std::size_t size_ = 0;
-  std::size_t cap_ = kInline;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = kInline;
 };
 
 }  // namespace speakup::transport

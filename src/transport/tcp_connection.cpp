@@ -13,17 +13,18 @@ constexpr std::int64_t kNoTimedSegment = -1;
 }
 
 TcpConnection::TcpConnection(Host& host, std::uint32_t local_port, net::NodeId remote,
-                             std::uint32_t remote_port, const TcpConfig& cfg, bool initiator)
+                             std::uint32_t remote_port, bool initiator)
     : host_(&host),
-      cfg_(cfg),
       local_port_(local_port),
       remote_(remote),
       remote_port_(remote_port),
       state_(initiator ? State::kSynSent : State::kSynReceived),
-      cwnd_(static_cast<double>(cfg.mss * cfg.initial_cwnd_segments)),
-      ssthresh_(static_cast<double>(cfg.initial_ssthresh)),
-      rto_(cfg.initial_rto),
+      cwnd_(static_cast<double>(cfg().mss * cfg().initial_cwnd_segments)),
+      ssthresh_(static_cast<double>(cfg().initial_ssthresh)),
+      rto_(cfg().initial_rto),
       rto_timer_(host.loop(), [this] { on_rto(); }) {}
+
+const TcpConfig& TcpConnection::cfg() const { return host_->tcp_config(); }
 
 TcpConnection::~TcpConnection() {
   if (peer_ != nullptr) peer_->peer_ = nullptr;
@@ -106,9 +107,9 @@ void TcpConnection::establish() {
 void TcpConnection::try_send() {
   if (state_ != State::kEstablished) return;
   const auto window = std::min<std::int64_t>(static_cast<std::int64_t>(cwnd_),
-                                             cfg_.max_inflight);
+                                             cfg().max_inflight);
   while (snd_nxt_ < app_limit_ && inflight() < window) {
-    const Bytes len = std::min<Bytes>(cfg_.mss, app_limit_ - snd_nxt_);
+    const Bytes len = std::min<Bytes>(cfg().mss, app_limit_ - snd_nxt_);
     send_segment(snd_nxt_, len, /*retransmission=*/false);
     snd_nxt_ += len;
   }
@@ -153,24 +154,24 @@ void TcpConnection::handle_ack(std::int64_t ack) {
       } else {
         // NewReno partial ack: the next hole is lost too; retransmit it and
         // keep the recovery window partially deflated.
-        const Bytes len = std::min<Bytes>(cfg_.mss, snd_nxt_ - snd_una_);
+        const Bytes len = std::min<Bytes>(cfg().mss, snd_nxt_ - snd_una_);
         if (len > 0) send_segment(snd_una_, len, /*retransmission=*/true);
-        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + static_cast<double>(cfg_.mss),
-                         static_cast<double>(cfg_.mss));
+        cwnd_ = std::max(cwnd_ - static_cast<double>(newly) + static_cast<double>(cfg().mss),
+                         static_cast<double>(cfg().mss));
       }
     } else {
       if (cwnd_ < ssthresh_) {
-        cwnd_ += static_cast<double>(cfg_.mss);  // slow start
+        cwnd_ += static_cast<double>(cfg().mss);  // slow start
       } else {
-        cwnd_ += static_cast<double>(cfg_.mss) * static_cast<double>(cfg_.mss) / cwnd_;
+        cwnd_ += static_cast<double>(cfg().mss) * static_cast<double>(cfg().mss) / cwnd_;
       }
     }
     if (inflight() > 0) {
       arm_rto();
     } else {
       rto_timer_.cancel();
-      rto_ = std::clamp(have_rtt_ ? srtt_ + 4 * rttvar_ : cfg_.initial_rto, cfg_.min_rto,
-                        cfg_.max_rto);
+      rto_ = std::clamp(have_rtt_ ? srtt_ + 4 * rttvar_ : cfg().initial_rto, cfg().min_rto,
+                        cfg().max_rto);
     }
     if (handler_ != nullptr) handler_->on_acked(snd_una_);
     try_send();
@@ -179,12 +180,12 @@ void TcpConnection::handle_ack(std::int64_t ack) {
   // Duplicate ACK (only meaningful while data is outstanding).
   if (ack == snd_una_ && inflight() > 0) {
     if (in_recovery_) {
-      cwnd_ += static_cast<double>(cfg_.mss);  // inflation
+      cwnd_ += static_cast<double>(cfg().mss);  // inflation
       try_send();
       return;
     }
     ++dupacks_;
-    if (dupacks_ == cfg_.dupack_threshold) enter_fast_recovery();
+    if (dupacks_ == cfg().dupack_threshold) enter_fast_recovery();
   }
 }
 
@@ -192,9 +193,9 @@ void TcpConnection::enter_fast_recovery() {
   in_recovery_ = true;
   recover_ = snd_nxt_;
   ssthresh_ = std::max(static_cast<double>(inflight()) / 2.0,
-                       2.0 * static_cast<double>(cfg_.mss));
-  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(cfg_.mss);
-  const Bytes len = std::min<Bytes>(cfg_.mss, snd_nxt_ - snd_una_);
+                       2.0 * static_cast<double>(cfg().mss));
+  cwnd_ = ssthresh_ + 3.0 * static_cast<double>(cfg().mss);
+  const Bytes len = std::min<Bytes>(cfg().mss, snd_nxt_ - snd_una_);
   if (len > 0) send_segment(snd_una_, len, /*retransmission=*/true);
 }
 
@@ -229,7 +230,7 @@ void TcpConnection::on_rto() {
   // not back off: the first tears the connection down, and the second must
   // leave rto_ untouched for the next fresh flight.
   if (state_ == State::kSynSent) {
-    if (++syn_retries_ > cfg_.max_syn_retries) {
+    if (++syn_retries_ > cfg().max_syn_retries) {
       teardown(/*notify_app=*/true);
       return;
     }
@@ -252,13 +253,13 @@ void TcpConnection::on_rto() {
   // go-back-N from the last cumulative ack.
   backoff_rto();
   ssthresh_ = std::max(static_cast<double>(inflight()) / 2.0,
-                       2.0 * static_cast<double>(cfg_.mss));
-  cwnd_ = static_cast<double>(cfg_.mss);
+                       2.0 * static_cast<double>(cfg().mss));
+  cwnd_ = static_cast<double>(cfg().mss);
   snd_nxt_ = snd_una_;
   in_recovery_ = false;
   dupacks_ = 0;
   timed_seq_ = kNoTimedSegment;
-  const Bytes len = std::min<Bytes>(cfg_.mss, app_limit_ - snd_una_);
+  const Bytes len = std::min<Bytes>(cfg().mss, app_limit_ - snd_una_);
   if (len > 0) {
     send_segment(snd_una_, len, /*retransmission=*/true);
     snd_nxt_ = snd_una_ + len;
@@ -269,7 +270,7 @@ void TcpConnection::on_rto() {
 void TcpConnection::arm_rto() { rto_timer_.restart(rto_); }
 
 void TcpConnection::backoff_rto() {
-  rto_ = std::min(rto_ * 2, cfg_.max_rto);
+  rto_ = std::min(rto_ * 2, cfg().max_rto);
   if (auto* o = host_->loop().observer()) o->on_tcp_rto_backoff(rto_);
 }
 
@@ -284,7 +285,7 @@ void TcpConnection::take_rtt_sample(Duration sample) {
     rttvar_ = Duration::nanos((3 * rttvar_.ns() + err.ns()) / 4);
     srtt_ = Duration::nanos((7 * srtt_.ns() + sample.ns()) / 8);
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg().min_rto, cfg().max_rto);
 }
 
 void TcpConnection::teardown(bool notify_app) {

@@ -41,10 +41,12 @@ class ConnectionHandler {
 
 class TcpConnection {
  public:
-  enum class State { kSynSent, kSynReceived, kEstablished, kClosed };
+  enum class State : std::uint8_t { kSynSent, kSynReceived, kEstablished, kClosed };
 
+  /// The connection reads its tunables live from host.tcp_config(), which
+  /// the host fixes before its first connection (Host::set_tcp_config).
   TcpConnection(Host& host, std::uint32_t local_port, net::NodeId remote,
-                std::uint32_t remote_port, const TcpConfig& cfg, bool initiator);
+                std::uint32_t remote_port, bool initiator);
 
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
@@ -111,7 +113,7 @@ class TcpConnection {
   void on_rto();
   void arm_rto();
   /// Karn-style exponential backoff: doubles the RTO (capped at
-  /// cfg_.max_rto). Called exactly once per timer expiry — the single
+  /// cfg().max_rto). Called exactly once per timer expiry — the single
   /// place backoff is applied, so no path can double-apply it.
   void backoff_rto();
   void take_rtt_sample(Duration sample);
@@ -120,15 +122,23 @@ class TcpConnection {
   void link_peer(TcpConnection* p) { peer_ = p; }
 
   [[nodiscard]] Bytes inflight() const { return snd_nxt_ - snd_una_; }
+  [[nodiscard]] const TcpConfig& cfg() const;
 
+  // A client host keeps two connection slots, so at 10^5 clients every
+  // byte here is 200 KB of resident memory: the narrow fields share one
+  // 16-byte run and the 8-byte fields follow without padding.
   Host* host_;
-  TcpConfig cfg_;
+  TcpConnection* peer_ = nullptr;
+  ConnectionHandler* handler_ = nullptr;
   std::uint32_t local_port_;
   net::NodeId remote_;
   std::uint32_t remote_port_;
   State state_;
-  TcpConnection* peer_ = nullptr;
-  ConnectionHandler* handler_ = nullptr;
+  bool in_recovery_ = false;
+  bool have_rtt_ = false;
+  bool syn_retransmitted_ = false;
+  int dupacks_ = 0;
+  int syn_retries_ = 0;
 
   // --- send side ---
   std::int64_t snd_una_ = 0;   // oldest unacked stream offset
@@ -136,22 +146,17 @@ class TcpConnection {
   std::int64_t app_limit_ = 0; // total bytes the app has written
   double cwnd_;
   double ssthresh_;
-  int dupacks_ = 0;
-  bool in_recovery_ = false;
   std::int64_t recover_ = 0;   // NewReno recovery point
   std::int64_t retransmits_ = 0;
   std::int64_t timeouts_ = 0;
-  int syn_retries_ = 0;
 
   // --- RTT estimation (one timed segment at a time; Karn's rule) ---
   Duration srtt_ = Duration::zero();
   Duration rttvar_ = Duration::zero();
-  bool have_rtt_ = false;
   Duration rto_;
   std::int64_t timed_seq_ = -1;  // -1: nothing being timed
   SimTime timed_sent_;
   SimTime syn_sent_at_;
-  bool syn_retransmitted_ = false;
 
   sim::Timer rto_timer_;
 

@@ -145,6 +145,31 @@ TEST(ClientPool, PauseStopsNewArrivals) {
   EXPECT_LE(pool.stats(0).arrivals, arrivals_at_pause + 1);
 }
 
+// A member costs two allocations: its strategy object and its backlog
+// ring. The group's knobs are parsed into the strategy's own fields, and
+// the outstanding list lives in the pool-wide request slab. One
+// flash-crowd member with three knobs used to cost 7: two copies of the
+// knob vector, each with the one knob name too long for the short-string
+// buffer ("surge_duration_s"), the strategy, the backlog ring and a
+// reserved outstanding-slot vector.
+TEST(ClientPool, AddMemberAllocations) {
+  Rig rig;
+  WorkloadParams p = good_client_params();
+  p.strategy = "flash-crowd";
+  p.strategy_knobs = {
+      {"surge_start_s", 1.0}, {"surge_duration_s", 2.0}, {"surge_factor", 5.0}};
+  ClientPool pool(rig.loop, rig.thinner_host->id(), p, 0);
+  pool.reserve(2);
+  pool.add_member(rig.add_host("c0"), util::RngStream(5, "client.0"));
+  transport::Host& host = rig.add_host("c1");
+  util::RngStream rng(5, "client.1");
+  ASSERT_TRUE(util::AllocGuard::counting()) << "speakup_counted_new not linked";
+  const util::AllocGuard guard;
+  pool.add_member(host, std::move(rng));
+  EXPECT_LE(guard.delta(), 2) << "allocations for one add_member";
+  EXPECT_EQ(pool.size(), 2u);
+}
+
 // The million-client contract: once warm, the client engine's request
 // cycle — arrival, slot acquire, connect, RST denial, stream retirement,
 // slot release, next arrival draw — touches the allocator zero times, at

@@ -38,6 +38,10 @@ struct Rig {
   transport::Host* thinner_host = nullptr;
 };
 
+// One ClientStats exists per client (10^5 in the largest runs): counters
+// plus one streaming summary, no stored samples.
+TEST(ClientStats, RecordStaysSmall) { EXPECT_LE(sizeof(ClientStats), 120u); }
+
 TEST(WorkloadClient, ParamFactoriesMatchPaper) {
   const WorkloadParams g = good_client_params();
   EXPECT_DOUBLE_EQ(g.lambda, 2.0);

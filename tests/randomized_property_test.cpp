@@ -234,6 +234,46 @@ TEST(RandomizedProperty, OooTrackerMatchesMapReference) {
   }
 }
 
+TEST(RandomizedProperty, OooTrackerSpillsExactlyPastInlineCapacity) {
+  // kInline disjoint holes stay inline; one more spills. Merges across the
+  // spill — bridging holes that were inline and the one that spilled —
+  // must then match the map reference interval for interval.
+  constexpr auto kInline = static_cast<std::int64_t>(transport::OooTracker::kInline);
+  transport::OooTracker tracker;
+  std::int64_t rcv_nxt = 0;
+  MapOooReference ref;
+  const auto deliver = [&](std::int64_t seq, std::int64_t len) {
+    ref.handle_data(seq, len);
+    const std::int64_t begin = std::max(seq, rcv_nxt);
+    if (begin < seq + len) tracker.insert(begin, seq + len);
+    rcv_nxt = tracker.pop_prefix(rcv_nxt);
+    ASSERT_EQ(rcv_nxt, ref.rcv_nxt);
+    ASSERT_EQ(tracker.size(), ref.ooo.size());
+    std::size_t k = 0;
+    for (const auto& [b, e] : ref.ooo) {
+      ASSERT_EQ(tracker.data()[k].begin, b) << "interval " << k;
+      ASSERT_EQ(tracker.data()[k].end, e) << "interval " << k;
+      ++k;
+    }
+  };
+  // Holes at [1000, 1100), [2000, 2100), ...; [0, 1000) arrives last.
+  for (std::int64_t i = 1; i <= kInline; ++i) deliver(i * 1000, 100);
+  EXPECT_EQ(tracker.size(), static_cast<std::size_t>(kInline));
+  EXPECT_FALSE(tracker.spilled());
+  deliver((kInline + 1) * 1000, 100);
+  EXPECT_EQ(tracker.size(), static_cast<std::size_t>(kInline + 1));
+  EXPECT_TRUE(tracker.spilled());
+  // Bridge the last inline hole to the spilled one, then touch the first.
+  deliver(kInline * 1000 + 100, 900);
+  deliver(1100, 900);
+  EXPECT_EQ(tracker.size(), ref.ooo.size());
+  // The missing head arrives: everything drains in one pop.
+  deliver(0, 1000);
+  EXPECT_TRUE(tracker.empty());
+  EXPECT_EQ(rcv_nxt, (kInline + 1) * 1000 + 100);
+  EXPECT_TRUE(tracker.spilled());  // the buffer is kept for reuse
+}
+
 TEST(RandomizedProperty, OooTrackerSpillsAndRecoversBeyondInlineCapacity) {
   // Dozens of disjoint holes force the inline array to spill; filling the
   // gaps must then drain everything through a single merged pop.

@@ -114,6 +114,70 @@ TEST(StrategyFactory, DuplicateRegistrationThrows) {
                std::invalid_argument);
 }
 
+// One strategy exists per client, so the base record is a vptr plus the
+// three shared knobs and nothing else (no copy of the knob vector).
+TEST(StrategyFactory, BaseStrategyHoldsOnlyTheSharedKnobs) {
+  EXPECT_LE(sizeof(Strategy), 24u);
+}
+
+// Every built-in parses its named knobs into its own fields at
+// construction: built from params that then die, each still answers every
+// hook with the values it was given (and, under ASan, touches no freed
+// knob storage).
+TEST(StrategyFactory, BuiltinsOutliveTheirParams) {
+  // The view: 1 served, 3 denied, 1.5 s into the run. `window`, `pays` and
+  // `patience_s` (0: none) are what each strategy must answer from the
+  // knobs it was built with.
+  const struct {
+    const char* name;
+    std::vector<std::pair<std::string, double>> knobs;
+    int window;
+    bool pays;
+    double patience_s;
+  } cases[] = {
+      {"poisson", {}, 3, true, 0.0},
+      {"onoff", {{"period_s", 4.0}, {"duty", 0.25}, {"offset_s", 1.0}}, 3, true, 0.0},
+      {"defector", {{"defect_after_served", 2.0}, {"patience_s", 1.5}}, 3, true, 1.5},
+      // Denial rate 3/4 at gain 2 saturates the ramp: the full max_window.
+      {"adaptive-window", {{"max_window", 9.0}, {"gain", 2.0}}, 9, true, 0.0},
+      {"flash-crowd",
+       {{"surge_start_s", 1.0}, {"surge_duration_s", 2.0}, {"surge_factor", 5.0}},
+       3, true, 0.0},
+      // One arrival drawn, one probe budgeted: still probing, so no payment.
+      {"recon", {{"probes", 1.0}, {"probe_lambda", 3.0}}, 3, false, 0.0},
+      // Four resolved, a quarter served: below the threshold, so it defects.
+      {"switcher", {{"min_observations", 2.0}, {"served_threshold", 0.5}}, 3, false, 0.0},
+  };
+  ASSERT_EQ(std::size(cases), std::size(kBuiltins));
+  client::ClientStats stats;
+  stats.served = 1;
+  stats.denied = 3;
+  StrategyView v;
+  v.now = SimTime::zero() + Duration::seconds(1.5);
+  v.stats = &stats;
+  for (const auto& c : cases) {
+    std::unique_ptr<Strategy> s;
+    {
+      StrategyParams p = params_with(4.0, 3, c.knobs);
+      p.retry_pipeline = 17;
+      s = StrategyFactory::instance().create(c.name, p);
+    }  // the params, knob names included, are freed here
+    util::RngStream rng(5, c.name);
+    EXPECT_EQ(s->name(), c.name);
+    EXPECT_GT(s->next_arrival(rng, v), Duration::zero()) << c.name;
+    EXPECT_EQ(s->window(v), c.window) << c.name;
+    EXPECT_EQ(s->pay(rng, v), c.pays) << c.name;
+    const std::optional<Duration> patience = s->payment_patience(rng, v);
+    if (c.patience_s > 0) {
+      ASSERT_TRUE(patience.has_value()) << c.name;
+      EXPECT_EQ(*patience, Duration::seconds(c.patience_s)) << c.name;
+    } else {
+      EXPECT_FALSE(patience.has_value()) << c.name;
+    }
+    EXPECT_EQ(s->retry_pipeline(v), 17) << c.name;
+  }
+}
+
 // Every registered strategy constructs with default knobs and runs a short
 // scenario end to end — conformance for free, like the defense registry.
 TEST(StrategyFactory, EveryRegisteredStrategyRunsAScenario) {
@@ -147,15 +211,15 @@ TEST(Strategy, DefaultPoissonMatchesExplicitPoissonFingerprint) {
 
 class MetronomeStrategy final : public Strategy {
  public:
-  explicit MetronomeStrategy(StrategyParams p) : Strategy(std::move(p)) {
-    params_.require_knobs(name(), {});
+  explicit MetronomeStrategy(const StrategyParams& p) : Strategy(p) {
+    p.require_knobs(name(), {});
   }
   [[nodiscard]] std::string_view name() const override { return "metronome"; }
   [[nodiscard]] Duration next_arrival(util::RngStream& rng,
                                       const StrategyView& v) override {
     (void)rng;
     (void)v;
-    return Duration::seconds(1.0 / params_.lambda);
+    return Duration::seconds(1.0 / lambda_);
   }
 };
 

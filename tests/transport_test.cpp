@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "net/network.hpp"
@@ -309,12 +310,36 @@ TEST(Tcp, ParallelConnectionsGrabLargerShare) {
   EXPECT_GT(static_cast<double>(dg) / static_cast<double>(dm), 2.0);
 }
 
-// A connection reports to its one handler through a single pointer. Every
-// client host keeps two connection slots, so a callback member added back
-// (a std::function is 32 B) would cost each of 10^5 client hosts 64 B.
-// 488 B is the measured size on x86-64 with libstdc++.
+// Every client host keeps two connection slots, so at 10^5 clients each
+// byte here is ~200 KB resident. The connection reports to its one handler
+// through a single pointer (a std::function added back is 32 B), reads its
+// host's TcpConfig instead of copying it (64 B) and keeps two out-of-order
+// intervals inline. 296 B is the measured size on x86-64 with libstdc++.
 TEST(Tcp, ConnectionHoldsNoCallbackObjects) {
-  EXPECT_LE(sizeof(TcpConnection), 488u);
+  EXPECT_LE(sizeof(TcpConnection), 296u);
+}
+
+// Connections read their host's TcpConfig live, so the config is fixed once
+// the host owns a connection slot: retuning it then would change open
+// connections mid-flight.
+TEST(Host, TcpConfigIsFixedOnceAConnectionExists) {
+  TwoHostNet t(kLan);
+  TcpConfig cfg;
+  cfg.mss = 536;
+  t.a->set_tcp_config(cfg);
+  t.b->listen(80, [](TcpConnection&) {});
+  TcpConnection& c = t.a->connect(t.b->id(), 80);
+  EXPECT_EQ(c.cwnd_bytes(), 2.0 * 536);  // the initial window uses the host's mss
+  EXPECT_THROW(t.a->set_tcp_config(TcpConfig{}), std::invalid_argument);
+  EXPECT_EQ(t.a->tcp_config().mss, 536);
+  t.loop.run_until(SimTime::zero() + Duration::millis(100));
+  // The accepting side holds a slot too.
+  EXPECT_THROW(t.b->set_tcp_config(cfg), std::invalid_argument);
+  // A closed connection's slot stays with the host, and so does the rule.
+  c.abort();
+  t.loop.run_until(SimTime::zero() + Duration::millis(300));
+  EXPECT_EQ(t.a->live_connections(), 0u);
+  EXPECT_THROW(t.a->set_tcp_config(cfg), std::invalid_argument);
 }
 
 TEST(Host, PortAllocationIsUnique) {
